@@ -1,7 +1,7 @@
 //! Dev tool: dump every SimStats field for the full sweep (baseline + 3
 //! models per workload) so hot-path rewrites can be checked bit-identical.
 
-use hyperpred::{run_matrix_workloads, Experiment, Model, Pipeline};
+use hyperpred::{run_matrix_configured, Experiment, MatrixConfig, Model, Pipeline};
 use hyperpred_workloads::Scale;
 
 fn main() {
@@ -16,7 +16,14 @@ fn main() {
         Experiment::fig10(),
         Experiment::fig11(),
     ];
-    let out = run_matrix_workloads(&exps, &workloads, &Pipeline::default(), 0).expect("matrix");
+    let out = run_matrix_configured(
+        &exps,
+        &workloads,
+        &Pipeline::default(),
+        &MatrixConfig::default(),
+    )
+    .into_output()
+    .expect("matrix");
     for (e, fig) in out.figures.iter().enumerate() {
         for r in fig {
             println!("{} exp{} base {:?}", r.name, e, r.base);

@@ -66,9 +66,9 @@ use hyperpred::sched::MachineConfig;
 use hyperpred::sim::{CacheConfig, MemoryModel, SimConfig};
 use hyperpred::workloads::Scale;
 use hyperpred::{
-    branch_table, fsck, instruction_table, run_matrix_configured, run_matrix_with_stats,
-    speedup_table, summarize_run, BenchResult, Experiment, FailurePolicy, FsckOptions,
-    MatrixConfig, RetryPolicy, RunJournal, TriageConfig,
+    branch_table, fsck, instruction_table, run_matrix_configured, speedup_table, summarize_run,
+    BenchResult, Experiment, FailurePolicy, FsckOptions, MatrixConfig, RetryPolicy, RunJournal,
+    TriageConfig,
 };
 use hyperpred::{evaluate, speedup, Model, Pipeline, PipelineError, Stage};
 use std::process::ExitCode;
@@ -464,75 +464,57 @@ fn report(mut args: impl Iterator<Item = String>) -> ExitCode {
         Experiment::fig10(),
         Experiment::fig11(),
     ];
-    if keep_going {
-        let journal = match &resume {
-            Some(p) => match RunJournal::open(p) {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    eprintln!("hyperpredc: cannot open journal {p}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            None => None,
-        };
-        let triage = triage_dir.map(TriageConfig::new);
-        let workloads = hyperpred::workloads::all(scale);
-        let run = run_matrix_configured(
-            &exps,
-            &workloads,
-            &Pipeline::default(),
-            &MatrixConfig {
-                threads,
-                policy: FailurePolicy::KeepGoing,
-                retry: RetryPolicy {
-                    max_attempts: retries.max(1),
-                    backoff: Duration::from_millis(50),
-                },
-                journal: journal.as_ref(),
-                triage: triage.as_ref(),
-                ..MatrixConfig::default()
-            },
-        );
-        let figures: Vec<Vec<BenchResult>> = run
-            .outcomes
-            .iter()
-            .map(|row| row.iter().filter_map(|o| o.ok().cloned()).collect())
-            .collect();
-        for (exp, results) in exps.iter().zip(&figures) {
-            println!("{}", speedup_table(exp, results));
-        }
-        println!("{}", instruction_table(&figures[0]));
-        println!("{}", branch_table(&figures[0]));
-        let summary = summarize_run(&run);
-        eprintln!("{}", summary.text);
-        if verbose {
-            for cell in &run.stats.cells {
-                eprintln!("  {cell}");
+    let journal = match &resume {
+        Some(p) => match RunJournal::open(p) {
+            Ok(j) => Some(j),
+            Err(e) => {
+                eprintln!("hyperpredc: cannot open journal {p}: {e}");
+                return ExitCode::FAILURE;
             }
-        }
-        if summary.failed {
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
-    let (figures, stats) = match run_matrix_with_stats(&exps, scale, &Pipeline::default(), threads)
-    {
-        Ok(out) => (out.figures, out.stats),
-        Err(e) => {
-            eprintln!("hyperpredc: {e}");
-            return ExitCode::FAILURE;
-        }
+        },
+        None => None,
     };
+    let triage = triage_dir.map(TriageConfig::new);
+    let workloads = hyperpred::workloads::all(scale);
+    let run = run_matrix_configured(
+        &exps,
+        &workloads,
+        &Pipeline::default(),
+        &MatrixConfig {
+            threads,
+            policy: if keep_going {
+                FailurePolicy::KeepGoing
+            } else {
+                FailurePolicy::FailFast
+            },
+            retry: RetryPolicy {
+                max_attempts: retries.max(1),
+                backoff: Duration::from_millis(50),
+            },
+            journal: journal.as_ref(),
+            triage: triage.as_ref(),
+            ..MatrixConfig::default()
+        },
+    );
+    let figures: Vec<Vec<BenchResult>> = run
+        .outcomes
+        .iter()
+        .map(|row| row.iter().filter_map(|o| o.ok().cloned()).collect())
+        .collect();
     for (exp, results) in exps.iter().zip(&figures) {
         println!("{}", speedup_table(exp, results));
     }
     println!("{}", instruction_table(&figures[0]));
     println!("{}", branch_table(&figures[0]));
-    eprintln!("{}", stats.summary());
+    let summary = summarize_run(&run);
+    eprintln!("{}", summary.text);
     if verbose {
-        for cell in &stats.cells {
+        for cell in &run.stats.cells {
             eprintln!("  {cell}");
         }
+    }
+    if summary.failed {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

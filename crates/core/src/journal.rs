@@ -45,7 +45,7 @@
 //! [`LEGACY_JOURNAL_VERSION`]; both simply fall back to re-running the
 //! cell.
 
-use hyperpred_sim::SimStats;
+use hyperpred_sim::{CacheConfig, MemoryModel, SimStats};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -359,6 +359,33 @@ pub fn model_slug(model: Option<Model>) -> &'static str {
     }
 }
 
+/// Reverses [`model_slug`]: `Some(None)` for `"baseline"`, `None` for an
+/// unknown slug.
+pub(crate) fn parse_model_slug(slug: &str) -> Option<Option<Model>> {
+    std::iter::once(None)
+        .chain(Model::ALL.map(Some))
+        .find(|&m| model_slug(m) == slug)
+}
+
+/// The wire slug of a memory model. Cache geometry is always the default
+/// one; the experiment layer never uses another.
+pub(crate) fn memory_slug(memory: &MemoryModel) -> &'static str {
+    match memory {
+        MemoryModel::Perfect => "perfect",
+        MemoryModel::Caches(_) => "caches",
+    }
+}
+
+/// Reverses [`memory_slug`]; `None` for an unknown slug.
+pub(crate) fn parse_memory_slug(slug: &str) -> Option<MemoryModel> {
+    [
+        MemoryModel::Perfect,
+        MemoryModel::Caches(CacheConfig::default()),
+    ]
+    .into_iter()
+    .find(|m| memory_slug(m) == slug)
+}
+
 /// Serializes one cell record as a JSONL line (trailing newline
 /// included), ending in the `ck` checksum suffix: `fnv64` over every
 /// byte before the `,"ck"` marker.
@@ -459,7 +486,9 @@ pub(crate) fn is_expected_skip(line: &str, is_last_line: bool) -> bool {
     is_meta || is_foreign_cell || is_torn_tail
 }
 
-/// Escapes a string for our JSON writer (backslash, quote, newline).
+/// Escapes a string as a JSON string body (RFC 8259): backslash, quote,
+/// and every control character below U+0020 — `\n`, `\r` and `\t` by
+/// name, the rest as `\u00XX`.
 pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -467,28 +496,70 @@ pub(crate) fn escape(s: &str) -> String {
             '\\' => out.push_str("\\\\"),
             '"' => out.push_str("\\\""),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
     }
     out
 }
 
-/// Reverses [`escape`].
+/// Decodes a JSON string body: every RFC 8259 escape, including UTF-16
+/// surrogate pairs. A lone surrogate or an invalid escape decodes to
+/// U+FFFD. Raw characters pass through unchanged, so records written
+/// before control characters were escaped still read back as written.
 pub(crate) fn unescape(s: &str) -> String {
+    const BAD: char = char::REPLACEMENT_CHARACTER;
     let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c == '\\' {
-            match it.next() {
-                Some('n') => out.push('\n'),
-                Some(other) => out.push(other),
-                None => {}
-            }
-        } else {
-            out.push(c);
-        }
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        rest = &rest[at + 1..];
+        let Some(c) = rest.chars().next() else {
+            out.push(BAD);
+            break;
+        };
+        rest = &rest[c.len_utf8()..];
+        out.push(match c {
+            '"' | '\\' | '/' => c,
+            'n' => '\n',
+            'r' => '\r',
+            't' => '\t',
+            'b' => '\u{8}',
+            'f' => '\u{c}',
+            'u' => match hex4(rest) {
+                Some(hi @ 0xD800..=0xDBFF) => {
+                    rest = &rest[4..];
+                    match rest.strip_prefix("\\u").and_then(hex4) {
+                        Some(lo @ 0xDC00..=0xDFFF) => {
+                            rest = &rest[6..];
+                            char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
+                                .unwrap_or(BAD)
+                        }
+                        _ => BAD,
+                    }
+                }
+                Some(unit) => {
+                    rest = &rest[4..];
+                    char::from_u32(unit).unwrap_or(BAD)
+                }
+                None => BAD,
+            },
+            _ => BAD,
+        });
     }
+    out.push_str(rest);
     out
+}
+
+/// The four hex digits opening `s`, as a UTF-16 code unit.
+fn hex4(s: &str) -> Option<u32> {
+    let digits = s.get(..4)?;
+    if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    u32::from_str_radix(digits, 16).ok()
 }
 
 /// Extracts `"key":"value"` (escape-aware) from a hand-rolled JSON line.
@@ -584,6 +655,34 @@ mod tests {
         assert_eq!(unescape(&escape(ugly)), ugly);
         let line = format!("{{\"kind\":\"x\",\"name\":\"{}\"}}", escape(ugly));
         assert_eq!(field_str(&line, "name").as_deref(), Some(ugly));
+    }
+
+    /// Lines written before control characters were escaped hold them
+    /// raw; they must still load, checksum intact.
+    #[test]
+    fn raw_tab_lines_still_load_and_pass_their_checksum() {
+        let s = stats(5);
+        let line = cell_line(&JournalEntry {
+            fingerprint: "00112233deadbeef",
+            workload: "tab\there",
+            experiment: "Figure 8",
+            model: None,
+            stats: &s,
+        });
+        // Rewrite as the older writer did: raw tab, checksum over the
+        // raw bytes.
+        let body = &line[..line.rfind(CK_MARKER).expect("checksum suffix")];
+        let body = body.replace("\\t", "\t");
+        let legacy = format!("{body},\"ck\":\"{:016x}\"}}\n", fnv64(body.as_bytes()));
+        assert!(legacy.contains('\t'));
+        let (fp, parsed) = parse_cell_line(&legacy).expect("raw-tab line loads");
+        assert_eq!(fp, "00112233deadbeef");
+        assert_eq!(parsed, s);
+        assert_eq!(field_str(&legacy, "workload").as_deref(), Some("tab\there"));
+
+        let j = open_with("raw-tab", legacy.as_bytes());
+        assert_eq!((j.len(), j.corrupt()), (1, 0));
+        assert_eq!(j.lookup("00112233deadbeef"), Some(s));
     }
 
     #[test]

@@ -72,7 +72,7 @@ use hyperpred_sched::MachineConfig;
 use hyperpred_sim::{
     simulate_decoded, MemoryModel, SimConfig, SimError, SimStats, DEFAULT_CYCLE_LIMIT,
 };
-use hyperpred_workloads::{Scale, Workload};
+use hyperpred_workloads::Workload;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -206,7 +206,7 @@ impl fmt::Display for CellStat {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailurePolicy {
     /// Abandon remaining cells after the first failure (the historical
-    /// behavior; [`run_matrix`] uses this and surfaces the error).
+    /// behavior; [`MatrixRun::into_output`] surfaces the error).
     #[default]
     FailFast,
     /// Finish every remaining cell; failed cells are reported in the
@@ -365,6 +365,52 @@ pub struct MatrixRun {
     pub interrupted: bool,
 }
 
+impl MatrixRun {
+    /// The all-cells-succeeded view of the run: the figures, or the first
+    /// recorded failure's error (what a [`FailurePolicy::FailFast`] caller
+    /// wants).
+    ///
+    /// # Errors
+    /// The first failed cell's [`PipelineError`]; a model whose result
+    /// diverged from the baseline's comes back as
+    /// [`PipelineError::Diverged`].
+    ///
+    /// # Panics
+    /// Panics (like the serial path) if a cell *panicked* — the contained
+    /// message is re-raised; that is a compiler bug, not an input error.
+    /// Also panics if the run was interrupted before every cell ran
+    /// ([`MatrixConfig::cell_limit`]).
+    pub fn into_output(self) -> Result<MatrixOutput, PipelineError> {
+        if let Some(first) = self.report.failures.into_iter().next() {
+            match first.payload {
+                FailurePayload::Error(e) => return Err(e),
+                FailurePayload::Panic(msg) => panic!(
+                    "matrix cell {} / {} panicked: {msg}",
+                    first.workload, first.experiment
+                ),
+            }
+        }
+        let figures = self
+            .outcomes
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|o| match o {
+                        CellOutcome::Ok(r) => r,
+                        CellOutcome::Failed(_) | CellOutcome::Skipped => {
+                            panic!("matrix run interrupted before every cell completed")
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(MatrixOutput {
+            figures,
+            stats: self.stats,
+        })
+    }
+}
+
 /// How often (and how patiently) a failing cell is re-run before its
 /// failure becomes permanent. Only *plausibly transient* failures are
 /// retried: contained panics and watchdog trips
@@ -438,11 +484,6 @@ thread_local! {
     /// Message + location captured by the hook for the most recent panic.
     static CAPTURED_PANIC: std::cell::RefCell<Option<String>> =
         const { std::cell::RefCell::new(None) };
-    /// The last module this worker compiled for its current cell; taken by
-    /// failure triage so a simulate-stage repro bundle can dump the
-    /// lowered IR that actually failed.
-    static LAST_MODULE: std::cell::RefCell<Option<Arc<Module>>> =
-        const { std::cell::RefCell::new(None) };
 }
 
 static INSTALL_HOOK: Once = Once::new();
@@ -500,6 +541,210 @@ pub(crate) fn catch_cell<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 }
 
 // ---------------------------------------------------------------------------
+// The cell executor: matrix cells, requests and triage replays.
+// ---------------------------------------------------------------------------
+
+/// The stage a typed pipeline error belongs to.
+pub(crate) fn stage_of(e: &PipelineError) -> FailureStage {
+    match e {
+        PipelineError::Compile(_)
+        | PipelineError::Lint(_)
+        | PipelineError::Sched(_)
+        | PipelineError::Budget { .. } => FailureStage::Compile,
+        PipelineError::Emu(_) => FailureStage::Emulate,
+        PipelineError::Sim(_) | PipelineError::Diverged { .. } | PipelineError::Oracle { .. } => {
+            FailureStage::Simulate
+        }
+    }
+}
+
+/// A failed cell phase: the stage it failed in and why.
+#[derive(Debug, Clone)]
+pub(crate) struct StageFailure {
+    pub(crate) stage: FailureStage,
+    pub(crate) payload: FailurePayload,
+}
+
+impl From<PipelineError> for StageFailure {
+    fn from(e: PipelineError) -> StageFailure {
+        StageFailure {
+            stage: stage_of(&e),
+            payload: FailurePayload::Error(e),
+        }
+    }
+}
+
+/// Runs one phase of a cell under [`catch_cell`]; a contained panic
+/// becomes a failure of `stage`.
+fn phase<T, E: Into<StageFailure>>(
+    stage: FailureStage,
+    f: impl FnOnce() -> Result<T, E>,
+) -> Result<T, StageFailure> {
+    match catch_cell(f) {
+        Ok(r) => r.map_err(Into::into),
+        Err(msg) => Err(StageFailure {
+            stage,
+            payload: FailurePayload::Panic(msg),
+        }),
+    }
+}
+
+/// A compiled cell: the scheduled module plus, when the compile step
+/// shares one, its pre-decoded execution stream. The matrix cache decodes
+/// once per (workload, model, machine) key so every simulation of the key
+/// reuses the stream; a fresh compile leaves `decoded` empty and
+/// [`exec_cell`] decodes for the one simulation it feeds.
+#[derive(Clone)]
+pub(crate) struct CompiledUnit {
+    pub(crate) module: Arc<Module>,
+    pub(crate) decoded: Option<Arc<DecodedModule>>,
+}
+
+/// What [`exec_cell`] simulates a compiled cell under.
+pub(crate) struct CellRun<'a> {
+    /// Stamped into captured panic messages while the cell runs.
+    pub(crate) identity: String,
+    /// Arguments to `main` (after the hidden stack pointer).
+    pub(crate) args: &'a [i64],
+    /// The simulated machine.
+    pub(crate) machine: MachineConfig,
+    /// Memory hierarchy.
+    pub(crate) memory: MemoryModel,
+    /// Cycle watchdog budget.
+    pub(crate) max_cycles: u64,
+    /// Per-attempt wall-clock budget.
+    pub(crate) deadline: Option<Duration>,
+    /// Bounded re-running of transient failures.
+    pub(crate) retry: RetryPolicy,
+    /// Honor the simulate-stage fault-injection marker.
+    pub(crate) fault_injection: bool,
+}
+
+/// A permanently failed [`exec_cell`].
+pub(crate) struct ExecFailure {
+    /// The stage and payload of the last attempt.
+    pub(crate) failure: StageFailure,
+    /// Attempts spent, including the first.
+    pub(crate) attempts: u32,
+    /// Wall time across all attempts.
+    pub(crate) wall: Duration,
+    /// The module that failed, when compilation got that far. It travels
+    /// only on failure, for triage to dump and minimize.
+    pub(crate) module: Option<Arc<Module>>,
+}
+
+/// The compile step of a cell built from its source alone (a request or
+/// a repro): [`Pipeline::front`] then [`Pipeline::finish`], or the
+/// [`Pipeline::finish_degraded`] ladder when `degrade` is set.
+pub(crate) fn fresh_compile(
+    pipe: &Pipeline,
+    source: &str,
+    args: &[i64],
+    model: Model,
+    machine: &MachineConfig,
+    degrade: bool,
+) -> Result<(CompiledUnit, Degradation), StageFailure> {
+    let front = pipe.front(source, args)?;
+    let (module, degradation) = if degrade {
+        pipe.finish_degraded(&front, model, machine)?
+    } else {
+        (pipe.finish(&front, model, machine)?, Degradation::default())
+    };
+    let unit = CompiledUnit {
+        module: Arc::new(module),
+        decoded: None,
+    };
+    Ok((unit, degradation))
+}
+
+/// Whether a failure is plausibly transient (worth a retry): contained
+/// panics and watchdog trips. Typed compile/emulation errors are
+/// deterministic — retrying them wastes the budget.
+fn retryable(payload: &FailurePayload) -> bool {
+    match payload {
+        FailurePayload::Panic(_) => true,
+        FailurePayload::Error(PipelineError::Sim(
+            SimError::CycleLimit { .. } | SimError::Deadline { .. },
+        )) => true,
+        FailurePayload::Error(_) => false,
+    }
+}
+
+/// Runs one cell: the `compile` step, then the simulate-stage
+/// fault-injection hook, decode (unless the compile step shares a decoded
+/// stream) and [`simulate_decoded`] under the cycle budget and a fresh
+/// per-attempt deadline. Each phase runs under [`catch_cell`], so a
+/// failure names the stage it happened in. Transient failures
+/// ([`retryable`]) are re-run up to `run.retry.max_attempts` times, with
+/// `on_retry` called before each re-run (the matrix forgets its memoized
+/// failure there and counts the retry).
+///
+/// Matrix cells, [`run_request`] and triage replays all run through here.
+/// On success nothing compiled outlives the call beyond what `compile`
+/// itself keeps.
+///
+/// # Errors
+/// The permanent failure, with the module that failed when compilation
+/// got that far.
+pub(crate) fn exec_cell<X>(
+    run: &CellRun<'_>,
+    mut compile: impl FnMut() -> Result<(CompiledUnit, X), StageFailure>,
+    mut on_retry: impl FnMut(),
+) -> Result<(SimStats, X), ExecFailure> {
+    // The simulate phase: the injection hook, decode when the compile
+    // step shared no stream, then the timing run.
+    let simulate = |unit: &CompiledUnit| {
+        if run.fault_injection {
+            crate::faults::maybe_injected_sim_panic(&unit.module);
+        }
+        let decoded = unit
+            .decoded
+            .clone()
+            .unwrap_or_else(|| Arc::new(DecodedModule::decode(&unit.module)));
+        let sim = SimConfig {
+            memory: run.memory,
+            max_cycles: run.max_cycles,
+            deadline: run.deadline.map(|d| Instant::now() + d),
+            ..SimConfig::default()
+        };
+        let args = entry_args(run.args);
+        simulate_decoded(&unit.module, &decoded, "main", &args, run.machine, sim).map_err(|e| {
+            StageFailure {
+                stage: FailureStage::Simulate,
+                payload: FailurePayload::Error(e.into()),
+            }
+        })
+    };
+    let started = Instant::now();
+    let outer = CELL_IDENTITY.replace(Some(run.identity.clone()));
+    let mut attempts = 0u32;
+    let result = loop {
+        attempts += 1;
+        let (failure, module) = match phase(FailureStage::Compile, &mut compile) {
+            Err(f) => (f, None),
+            Ok((unit, extra)) => match phase(FailureStage::Simulate, || simulate(&unit)) {
+                Ok(stats) => break Ok((stats, extra)),
+                Err(f) => (f, Some(unit.module)),
+            },
+        };
+        if !retryable(&failure.payload) || attempts >= run.retry.max_attempts.max(1) {
+            break Err(ExecFailure {
+                failure,
+                attempts,
+                wall: started.elapsed(),
+                module,
+            });
+        }
+        on_retry();
+        if !run.retry.backoff.is_zero() {
+            std::thread::sleep(run.retry.backoff);
+        }
+    };
+    CELL_IDENTITY.set(outer);
+    result
+}
+
+// ---------------------------------------------------------------------------
 // Shared compile cache with failure memoization.
 // ---------------------------------------------------------------------------
 
@@ -511,36 +756,18 @@ struct CompileKey {
     branches: u32,
 }
 
-/// A memoized compile failure, replayed cheaply for every dependent cell.
-#[derive(Debug, Clone)]
-struct SharedFailure {
-    stage: FailureStage,
-    payload: FailurePayload,
-}
-
-/// A successfully compiled cell: the scheduled module plus its
-/// pre-decoded execution stream, produced once right after the compile
-/// and shared by every simulation of the same (workload, model, machine)
-/// key — the decode cost is paid once per compiled module, not once per
-/// simulated cell.
-#[derive(Clone)]
-struct CompiledUnit {
-    module: Arc<Module>,
-    decoded: Arc<DecodedModule>,
-}
-
 /// One shared once-per-key slot; `Err` marks a memoized failed compile.
-type CompileSlot = Arc<OnceLock<Result<CompiledUnit, SharedFailure>>>;
+type CompileSlot = Arc<OnceLock<Result<CompiledUnit, StageFailure>>>;
 
 /// One shared per-workload slot for the model-independent front half
 /// (frontend → pre-formation optimization → profiling run).
-type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, SharedFailure>>>;
+type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, StageFailure>>>;
 
-/// Each distinct (workload, model, machine) module is compiled exactly
-/// once; concurrent requesters block on the same [`OnceLock`] rather than
-/// duplicating the work. A failed — or panicking — compile is memoized as
-/// failed, so dependent cells skip it instead of re-running (or
-/// re-panicking) it.
+/// Each distinct (workload, model, machine) module is compiled — and
+/// decoded — exactly once; concurrent requesters block on the same
+/// [`OnceLock`] rather than duplicating the work. A failed — or
+/// panicking — compile is memoized as failed, so dependent cells skip it
+/// instead of re-running (or re-panicking) it.
 ///
 /// Compiles are additionally split at the [`Pipeline::front`] /
 /// [`Pipeline::finish`] seam: the front half (including the profiling
@@ -554,19 +781,6 @@ struct CompileCache {
     misses: AtomicU64,
     front_computes: AtomicU64,
     front_reuses: AtomicU64,
-}
-
-pub(crate) fn stage_of(e: &PipelineError) -> FailureStage {
-    match e {
-        PipelineError::Compile(_)
-        | PipelineError::Lint(_)
-        | PipelineError::Sched(_)
-        | PipelineError::Budget { .. } => FailureStage::Compile,
-        PipelineError::Emu(_) => FailureStage::Emulate,
-        PipelineError::Sim(_) | PipelineError::Diverged { .. } | PipelineError::Oracle { .. } => {
-            FailureStage::Simulate
-        }
-    }
 }
 
 impl CompileCache {
@@ -587,7 +801,7 @@ impl CompileCache {
         workload: usize,
         w: &Workload,
         pipe: &Pipeline,
-    ) -> Result<Arc<FrontOutput>, SharedFailure> {
+    ) -> Result<Arc<FrontOutput>, StageFailure> {
         let slot = {
             let mut fronts = lock_tolerant(&self.fronts);
             Arc::clone(fronts.entry(workload).or_default())
@@ -595,17 +809,7 @@ impl CompileCache {
         let mut fresh = false;
         let front = slot.get_or_init(|| {
             fresh = true;
-            match catch_cell(|| pipe.front(&w.source, &w.args)) {
-                Ok(Ok(f)) => Ok(Arc::new(f)),
-                Ok(Err(e)) => Err(SharedFailure {
-                    stage: stage_of(&e),
-                    payload: FailurePayload::Error(e),
-                }),
-                Err(panic_msg) => Err(SharedFailure {
-                    stage: FailureStage::Compile,
-                    payload: FailurePayload::Panic(panic_msg),
-                }),
-            }
+            phase(FailureStage::Compile, || pipe.front(&w.source, &w.args)).map(Arc::new)
         });
         if fresh {
             self.front_computes.fetch_add(1, Ordering::Relaxed);
@@ -619,16 +823,14 @@ impl CompileCache {
         &self,
         key: CompileKey,
         w: &Workload,
-        model: Model,
-        machine: &MachineConfig,
         pipe: &Pipeline,
-    ) -> Result<CompiledUnit, SharedFailure> {
+    ) -> Result<CompiledUnit, StageFailure> {
         let cell = {
             let mut slots = lock_tolerant(&self.slots);
             Arc::clone(slots.entry(key).or_default())
         };
         let mut fresh = false;
-        let module = cell.get_or_init(|| {
+        let unit = cell.get_or_init(|| {
             fresh = true;
             // The shared front half: once per workload, then each
             // (model, machine) runs only formation → scheduling. A failed
@@ -637,28 +839,20 @@ impl CompileCache {
             let front = self.get_or_front(key.workload, w, pipe)?;
             // Panics inside the pipeline are contained *here* so the slot
             // is still initialized (as failed) for everyone waiting on it.
-            match catch_cell(|| pipe.finish(&front, model, machine)) {
-                Ok(Ok(m)) => {
-                    let module = Arc::new(m);
-                    let decoded = Arc::new(DecodedModule::decode(&module));
-                    Ok(CompiledUnit { module, decoded })
-                }
-                Ok(Err(e)) => Err(SharedFailure {
-                    stage: stage_of(&e),
-                    payload: FailurePayload::Error(e),
-                }),
-                Err(panic_msg) => Err(SharedFailure {
-                    stage: FailureStage::Compile,
-                    payload: FailurePayload::Panic(panic_msg),
-                }),
-            }
+            let machine = MachineConfig::new(key.issue, key.branches);
+            let module = phase(FailureStage::Compile, || {
+                pipe.finish(&front, key.model, &machine)
+            })?;
+            let module = Arc::new(module);
+            let decoded = Some(Arc::new(DecodedModule::decode(&module)));
+            Ok(CompiledUnit { module, decoded })
         });
         if fresh {
             self.misses.fetch_add(1, Ordering::Relaxed);
         } else {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
-        module.clone()
+        unit.clone()
     }
 
     /// Drops memoized *failures* for `key` (and its workload's front half)
@@ -746,7 +940,7 @@ impl Cell {
 }
 
 /// The machine/simulation parameters a cell runs under — the part of its
-/// identity shared by fingerprinting and triage.
+/// identity shared by fingerprinting, execution and triage.
 struct CellParams {
     experiment: &'static str,
     model: Option<Model>,
@@ -780,37 +974,36 @@ fn params_of(cell: Cell, exps: &[Experiment]) -> CellParams {
 }
 
 fn key_of(cell: Cell, exps: &[Experiment]) -> CompileKey {
-    match cell {
-        Cell::Baseline { w } => CompileKey {
-            workload: w,
-            model: Model::Superblock,
-            issue: 1,
-            branches: 1,
-        },
-        Cell::Model { e, w, m } => CompileKey {
-            workload: w,
-            model: Model::ALL[m],
-            issue: exps[e].issue,
-            branches: exps[e].branches,
-        },
+    let p = params_of(cell, exps);
+    CompileKey {
+        workload: cell.workload(),
+        model: p.model.unwrap_or(Model::Superblock),
+        issue: p.issue,
+        branches: p.branches,
     }
 }
 
-/// The journal key of a cell: an FNV-1a hash over a canonical string of
-/// everything that determines its stats (crate version, the full pipeline
-/// config, workload name + source hash + args, experiment, model, and the
-/// machine/simulation parameters). See the [`crate::journal`] docs for
-/// why the key is deliberately conservative.
-fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &Pipeline) -> String {
-    let wl = &workloads[cell.workload()];
-    let p = params_of(cell, exps);
+/// The content address of one cell: an FNV-1a hash over a canonical
+/// string of everything that determines its stats (crate version, the
+/// full pipeline config, the program's name, source hash and args, the
+/// experiment slot, model, and the machine/simulation parameters). Matrix
+/// cells and requests share it, so the format is the key of every journal
+/// and store ever written; see the [`crate::journal`] docs for why it is
+/// deliberately conservative.
+fn content_fingerprint(
+    pipe: &Pipeline,
+    name: &str,
+    source: &str,
+    args: &[i64],
+    p: &CellParams,
+) -> String {
     let canonical = format!(
         "v{}|pipe{:016x}|{}|src{:016x}|args{:?}|{}|{}|issue{}|br{}|{:?}|cycles{}",
         env!("CARGO_PKG_VERSION"),
         fnv64(format!("{pipe:?}").as_bytes()),
-        wl.name,
-        fnv64(wl.source.as_bytes()),
-        wl.args,
+        name,
+        fnv64(source.as_bytes()),
+        args,
         p.experiment,
         model_slug(p.model),
         p.issue,
@@ -819,6 +1012,12 @@ fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &P
         p.max_cycles,
     );
     format!("{:016x}", fnv64(canonical.as_bytes()))
+}
+
+/// The journal key of a matrix cell.
+fn fingerprint(cell: Cell, exps: &[Experiment], workloads: &[Workload], pipe: &Pipeline) -> String {
+    let wl = &workloads[cell.workload()];
+    content_fingerprint(pipe, wl.name, &wl.source, &wl.args, &params_of(cell, exps))
 }
 
 /// Fills a result slot. An identical duplicate fill (a lost race between
@@ -831,7 +1030,7 @@ fn fill_slot(
     stats: SimStats,
     workload: &str,
     model: Option<Model>,
-) -> Result<(), (FailureStage, FailurePayload)> {
+) -> Result<(), StageFailure> {
     if let Err(rejected) = slot.set(stats) {
         match slot.get() {
             Some(held) if *held == rejected => {}
@@ -839,131 +1038,30 @@ fn fill_slot(
                 let detail = format!(
                     "result slot already held {held:?}; refused distinct refill {rejected:?}"
                 );
-                return Err((
-                    FailureStage::Simulate,
-                    FailurePayload::Error(PipelineError::Oracle {
+                return Err(StageFailure {
+                    stage: FailureStage::Simulate,
+                    payload: FailurePayload::Error(PipelineError::Oracle {
                         workload: workload.to_string(),
                         model: model.unwrap_or(Model::Superblock),
                         check: "cell-slot-consistency",
                         detail,
                     }),
-                ));
+                });
             }
         }
     }
     Ok(())
 }
 
-/// Whether a failure is plausibly transient (worth a retry): contained
-/// panics and watchdog trips. Typed compile/emulation errors are
-/// deterministic — retrying them wastes the budget.
-fn retryable(payload: &FailurePayload) -> bool {
-    match payload {
-        FailurePayload::Panic(_) => true,
-        FailurePayload::Error(PipelineError::Sim(
-            SimError::CycleLimit { .. } | SimError::Deadline { .. },
-        )) => true,
-        FailurePayload::Error(_) => false,
-    }
-}
-
-/// Runs `exps` over the standard workload suite at `scale` with `threads`
-/// workers (0 = one per available core). See [`run_matrix_workloads`].
-///
-/// # Errors
-/// Propagates the first pipeline failure; remaining cells are abandoned.
-pub fn run_matrix(
-    exps: &[Experiment],
-    scale: Scale,
-    pipe: &Pipeline,
-    threads: usize,
-) -> Result<Vec<Vec<BenchResult>>, PipelineError> {
-    run_matrix_with_stats(exps, scale, pipe, threads).map(|out| out.figures)
-}
-
-/// Like [`run_matrix`], but also returns the engine's cache and wall-time
-/// counters.
-///
-/// # Errors
-/// Propagates the first pipeline failure; remaining cells are abandoned.
-pub fn run_matrix_with_stats(
-    exps: &[Experiment],
-    scale: Scale,
-    pipe: &Pipeline,
-    threads: usize,
-) -> Result<MatrixOutput, PipelineError> {
-    let workloads = hyperpred_workloads::all(scale);
-    run_matrix_workloads(exps, &workloads, pipe, threads)
-}
-
-/// Fault-isolated engine run over the standard suite at `scale` under
-/// `policy`. Never returns an error: failed cells are contained and
-/// reported in [`MatrixRun::report`].
-pub fn run_matrix_policy(
-    exps: &[Experiment],
-    scale: Scale,
-    pipe: &Pipeline,
-    threads: usize,
-    policy: FailurePolicy,
-) -> MatrixRun {
-    let workloads = hyperpred_workloads::all(scale);
-    run_matrix_workloads_policy(exps, &workloads, pipe, threads, policy)
-}
-
-/// Compatibility wrapper over [`run_matrix_workloads_policy`]: runs under
-/// [`FailurePolicy::FailFast`] and surfaces the first failure.
-///
-/// # Errors
-/// Propagates the first pipeline failure; remaining cells are abandoned.
-/// A model whose simulated result diverges from the baseline's comes back
-/// as [`PipelineError::Diverged`].
-///
-/// # Panics
-/// Panics (like the serial path) if a cell *panicked* — the contained
-/// message is re-raised. That is a compiler bug, not an input error.
-pub fn run_matrix_workloads(
-    exps: &[Experiment],
-    workloads: &[Workload],
-    pipe: &Pipeline,
-    threads: usize,
-) -> Result<MatrixOutput, PipelineError> {
-    let run = run_matrix_workloads_policy(exps, workloads, pipe, threads, FailurePolicy::FailFast);
-    let MatrixRun {
-        outcomes,
-        stats,
-        mut report,
-        ..
-    } = run;
-    if let Some(first) = report.failures.drain(..).next() {
-        match first.payload {
-            FailurePayload::Error(e) => return Err(e),
-            FailurePayload::Panic(msg) => panic!(
-                "matrix cell {} / {} panicked: {msg}",
-                first.workload, first.experiment
-            ),
-        }
-    }
-    let figures = outcomes
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|o| match o {
-                    CellOutcome::Ok(r) => r,
-                    CellOutcome::Failed(_) | CellOutcome::Skipped => {
-                        unreachable!("empty failure report implies all cells completed")
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    Ok(MatrixOutput { figures, stats })
-}
-
-/// The engine core: runs every (experiment × workload × model) cell of the
-/// matrix over `threads` scoped workers, compiling each distinct module
-/// once and simulating each workload's baseline denominator once. Each
-/// cell is wrapped in `catch_unwind` and the watchdog budget of
-/// [`Experiment::max_cycles`], so one sick cell cannot take down the run.
+/// The engine: runs every (experiment × workload × model) cell of the
+/// matrix over `cfg.threads` scoped workers (0 = one per available core),
+/// compiling each distinct module once and simulating each workload's
+/// baseline denominator once. Every cell runs through [`exec_cell`] —
+/// panic containment, the watchdog budget of [`Experiment::max_cycles`],
+/// the per-attempt deadline and the retry policy — so one sick cell
+/// cannot take down the run. On top, [`MatrixConfig`] layers the journal
+/// (resume), triage bundles and the cell limit; with a default config it
+/// is the plain fault-isolated engine under [`FailurePolicy::FailFast`].
 ///
 /// Successful cells are bit-identical to calling
 /// [`run_experiment`](crate::experiments::run_experiment) per experiment,
@@ -972,29 +1070,8 @@ pub fn run_matrix_workloads(
 /// A model whose simulated result diverges from the baseline's is a
 /// compiler bug, not an input error; it is reported as a typed
 /// [`PipelineError::Diverged`] cell failure under either policy (never a
-/// panic), so a KeepGoing chaos run keeps every healthy cell.
-pub fn run_matrix_workloads_policy(
-    exps: &[Experiment],
-    workloads: &[Workload],
-    pipe: &Pipeline,
-    threads: usize,
-    policy: FailurePolicy,
-) -> MatrixRun {
-    run_matrix_configured(
-        exps,
-        workloads,
-        pipe,
-        &MatrixConfig {
-            threads,
-            policy,
-            ..MatrixConfig::default()
-        },
-    )
-}
-
-/// The durable engine entry point: [`run_matrix_workloads_policy`] plus
-/// the journal/retry/deadline/triage layers of [`MatrixConfig`]. With a
-/// default config it is exactly the plain engine.
+/// panic), so a KeepGoing chaos run keeps every healthy cell. Callers
+/// that want FailFast's first error use [`MatrixRun::into_output`].
 pub fn run_matrix_configured(
     exps: &[Experiment],
     workloads: &[Workload],
@@ -1002,7 +1079,6 @@ pub fn run_matrix_configured(
     cfg: &MatrixConfig<'_>,
 ) -> MatrixRun {
     let started = Instant::now();
-    let policy = cfg.policy;
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -1036,7 +1112,7 @@ pub fn run_matrix_configured(
     });
 
     let cache = CompileCache::new();
-    let log = FailureLog::new(policy);
+    let log = FailureLog::new(cfg.policy);
     let next = AtomicUsize::new(0);
     let interrupted = AtomicBool::new(false);
     let journal_hits = AtomicU64::new(0);
@@ -1050,298 +1126,164 @@ pub fn run_matrix_configured(
         .collect();
     let cell_stats: Mutex<Vec<CellStat>> = Mutex::new(Vec::with_capacity(cells.len()));
 
-    // Executes one cell; typed failures come back as Err, panics unwind to
-    // the catch_cell wrapper in the worker loop.
-    let exec_cell = |cell: Cell| -> Result<(), (FailureStage, FailurePayload)> {
-        match cell {
-            Cell::Baseline { w } => {
-                let wl = &workloads[w];
-                let key = CompileKey {
-                    workload: w,
-                    model: Model::Superblock,
-                    issue: 1,
-                    branches: 1,
-                };
-                let unit = cache
-                    .get_or_compile(
-                        key,
-                        wl,
-                        Model::Superblock,
-                        &MachineConfig::one_issue(),
-                        pipe,
-                    )
-                    .map_err(|f| (f.stage, f.payload))?;
-                LAST_MODULE.with(|m| *m.borrow_mut() = Some(Arc::clone(&unit.module)));
-                if pipe.fault_injection {
-                    crate::faults::maybe_injected_sim_panic(&unit.module);
-                }
-                // All experiments share one denominator config (1-issue,
-                // perfect memory, default predictor), so any experiment's
-                // baseline_sim() works; use the first for exactness.
-                let mut sim_cfg = exps.first().map_or_else(
-                    || Experiment::fig8().baseline_sim(),
-                    Experiment::baseline_sim,
-                );
-                if let Some(d) = cfg.deadline {
-                    sim_cfg.deadline = Some(Instant::now() + d);
-                }
-                let stats = simulate_decoded(
-                    &unit.module,
-                    &unit.decoded,
-                    "main",
-                    &entry_args(&wl.args),
-                    MachineConfig::one_issue(),
-                    sim_cfg,
-                )
-                .map_err(|e| (FailureStage::Simulate, FailurePayload::Error(e.into())))?;
-                fill_slot(&baseline[w], stats, wl.name, None)?;
-                Ok(())
-            }
-            Cell::Model { e, w, m } => {
-                let wl = &workloads[w];
-                let exp = &exps[e];
-                let model = Model::ALL[m];
-                let key = CompileKey {
-                    workload: w,
-                    model,
-                    issue: exp.issue,
-                    branches: exp.branches,
-                };
-                let unit = cache
-                    .get_or_compile(key, wl, model, &exp.machine(), pipe)
-                    .map_err(|f| (f.stage, f.payload))?;
-                LAST_MODULE.with(|m| *m.borrow_mut() = Some(Arc::clone(&unit.module)));
-                if pipe.fault_injection {
-                    crate::faults::maybe_injected_sim_panic(&unit.module);
-                }
-                let mut sim_cfg = exp.sim();
-                if let Some(d) = cfg.deadline {
-                    sim_cfg.deadline = Some(Instant::now() + d);
-                }
-                let stats = simulate_decoded(
-                    &unit.module,
-                    &unit.decoded,
-                    "main",
-                    &entry_args(&wl.args),
-                    exp.machine(),
-                    sim_cfg,
-                )
-                .map_err(|e| (FailureStage::Simulate, FailurePayload::Error(e.into())))?;
-                let idx = (e * workloads.len() + w) * 3 + m;
-                fill_slot(&model_stats[idx], stats, wl.name, Some(model))?;
-                Ok(())
-            }
-        }
+    let slot_of = |cell: Cell| match cell {
+        Cell::Baseline { w } => &baseline[w],
+        Cell::Model { e, w, m } => &model_stats[(e * workloads.len() + w) * 3 + m],
     };
 
-    // Writes a repro bundle for a permanently failed cell; bundle errors
-    // are reported, never fatal (triage must not take down the run).
-    let emit_triage = |cell: Cell, stage: FailureStage, payload: &FailurePayload, attempts: u32| {
-        let Some(tcfg) = cfg.triage else { return };
+    // Writes a repro bundle for a permanently failed cell.
+    let emit_triage =
+        |cell: Cell, failure: &StageFailure, attempts: u32, module: Option<&Module>| {
+            let Some(tcfg) = cfg.triage else { return };
+            let wl = &workloads[cell.workload()];
+            let p = params_of(cell, exps);
+            let repro = ReproCell {
+                workload: wl.name.to_string(),
+                args: wl.args.clone(),
+                experiment: p.experiment.to_string(),
+                model: p.model,
+                issue: p.issue,
+                branches: p.branches,
+                memory: p.memory,
+                max_cycles: p.max_cycles,
+                fault_injection: pipe.fault_injection,
+                sabotage: pipe.sabotage,
+                stage: failure.stage,
+                signature: triage::signature(&failure.payload),
+                fingerprint: fingerprint(cell, exps, workloads, pipe),
+                attempts,
+            };
+            triage::emit_bundle(tcfg, &repro, &wl.source, &failure.payload, module);
+        };
+
+    // Runs one claimed cell to a filled slot or a recorded failure.
+    let run_cell = |i: usize, cell: Cell| {
         let wl = &workloads[cell.workload()];
         let p = params_of(cell, exps);
-        let module = LAST_MODULE.with(|m| m.borrow_mut().take());
-        let repro = ReproCell {
-            workload: wl.name.to_string(),
-            args: wl.args.clone(),
-            experiment: p.experiment.to_string(),
-            model: p.model,
-            issue: p.issue,
-            branches: p.branches,
+        let slot = slot_of(cell);
+        let record_failure = |failure: StageFailure, wall: Duration, attempts: u32| {
+            log.record(CellFailure {
+                workload: wl.name,
+                experiment: p.experiment,
+                model: p.model,
+                stage: failure.stage,
+                payload: failure.payload,
+                wall,
+                attempts,
+            });
+        };
+        let journal = cfg.journal.zip(fps.as_deref().map(|fps| fps[i].as_str()));
+
+        // Resume: a journaled cell's stats are copied back bit-identically;
+        // nothing about it re-runs. A prefill clashing with a distinct held
+        // result means the journal (or the cell schedule) is damaged:
+        // report it as a failed cell, don't abort the worker.
+        if let Some(stats) = journal.and_then(|(j, fp)| j.lookup(fp)) {
+            match fill_slot(slot, stats, wl.name, p.model) {
+                Ok(()) => {
+                    journal_hits.fetch_add(1, Ordering::Relaxed);
+                    match cell {
+                        Cell::Baseline { .. } => &prefilled_baseline,
+                        Cell::Model { .. } => &prefilled_model,
+                    }
+                    .fetch_add(1, Ordering::Relaxed);
+                }
+                Err(f) => record_failure(f, Duration::ZERO, 1),
+            }
+            return;
+        }
+
+        let key = key_of(cell, exps);
+        let run = CellRun {
+            identity: match p.model {
+                Some(m) => format!("{} / {} / {m}", wl.name, p.experiment),
+                None => format!("{} / baseline", wl.name),
+            },
+            args: &wl.args,
+            machine: MachineConfig::new(p.issue, p.branches),
             memory: p.memory,
             max_cycles: p.max_cycles,
+            deadline: cfg.deadline,
+            retry: cfg.retry,
             fault_injection: pipe.fault_injection,
-            sabotage: pipe.sabotage,
-            stage,
-            signature: triage::signature(payload),
-            fingerprint: fingerprint(cell, exps, workloads, pipe),
-            attempts,
         };
-        match triage::write_bundle(
-            tcfg,
-            &repro,
-            &wl.source,
-            &payload.to_string(),
-            module.as_deref(),
-        ) {
-            Ok(dir) => eprintln!("triage: wrote repro bundle {}", dir.display()),
-            Err(e) => eprintln!(
-                "triage: could not write bundle for {} / {}: {e}",
+        let t = Instant::now();
+        let ran = exec_cell(
+            &run,
+            || Ok((cache.get_or_compile(key, wl, pipe)?, ())),
+            || {
+                // A memoized failure must be forgotten, or the retry
+                // would just replay the memo.
+                cache.forget_failed(key);
+                retries.fetch_add(1, Ordering::Relaxed);
+            },
+        );
+        let wall = t.elapsed();
+        let failed = match ran {
+            Ok((stats, ())) => fill_slot(slot, stats, wl.name, p.model)
+                .err()
+                .map(|failure| ExecFailure {
+                    failure,
+                    attempts: 1,
+                    wall,
+                    module: None,
+                }),
+            Err(f) => Some(f),
+        };
+        if let Some(f) = failed {
+            emit_triage(cell, &f.failure, f.attempts, f.module.as_deref());
+            record_failure(f.failure, wall, f.attempts);
+            return;
+        }
+        lock_tolerant(&cell_stats).push(CellStat {
+            workload: wl.name,
+            experiment: p.experiment,
+            model: p.model,
+            wall,
+        });
+        let Some(((journal, fp), stats)) = journal.zip(slot.get()) else {
+            return;
+        };
+        let appended = journal.record(&JournalEntry {
+            fingerprint: fp,
+            workload: wl.name,
+            experiment: p.experiment,
+            model: p.model,
+            stats,
+        });
+        match appended {
+            Ok(RecordOutcome::Appended) => {
+                journal_appends.fetch_add(1, Ordering::Relaxed);
+            }
+            // Identical re-record (e.g. two resumed runs sharing a
+            // journal): nothing to count.
+            Ok(RecordOutcome::Duplicate) => {}
+            // The key now serves nobody; the conflict is counted on the
+            // journal and reported by drivers.
+            Ok(RecordOutcome::Conflict) => eprintln!(
+                "journal: fingerprint conflict on {fp} ({} / {}); key quarantined",
                 wl.name, p.experiment
             ),
+            // Durability degrades, the run continues (e.g. disk full).
+            Err(e) => eprintln!("journal: append failed: {e}"),
         }
     };
 
     std::thread::scope(|scope| {
         for _ in 0..threads.min(cells.len()).max(1) {
-            scope.spawn(|| {
-                loop {
-                    if log.aborted() {
-                        return;
-                    }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i).copied() else {
-                        return;
-                    };
-                    if cfg.cell_limit.is_some_and(|limit| i >= limit) {
-                        interrupted.store(true, Ordering::Release);
-                        return;
-                    }
-                    let (workload, experiment, model) = match cell {
-                        Cell::Baseline { w } => (workloads[w].name, "baseline", None),
-                        Cell::Model { e, w, m } => {
-                            (workloads[w].name, exps[e].title, Some(Model::ALL[m]))
-                        }
-                    };
-                    // Resume: a journaled cell's stats are copied back
-                    // bit-identically; nothing about it re-runs.
-                    if let (Some(journal), Some(fps)) = (cfg.journal, fps.as_deref()) {
-                        if let Some(stats) = journal.lookup(&fps[i]) {
-                            let filled = match cell {
-                                Cell::Baseline { w } => {
-                                    let r = fill_slot(&baseline[w], stats, workload, None);
-                                    if r.is_ok() {
-                                        prefilled_baseline.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    r
-                                }
-                                Cell::Model { e, w, m } => {
-                                    let idx = (e * workloads.len() + w) * 3 + m;
-                                    let r = fill_slot(&model_stats[idx], stats, workload, model);
-                                    if r.is_ok() {
-                                        prefilled_model.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    r
-                                }
-                            };
-                            match filled {
-                                Ok(()) => {
-                                    journal_hits.fetch_add(1, Ordering::Relaxed);
-                                }
-                                // A prefill clashing with a distinct held
-                                // result means the journal (or the cell
-                                // schedule) is damaged: report it as a
-                                // failed cell, don't abort the worker.
-                                Err((stage, payload)) => log.record(CellFailure {
-                                    workload,
-                                    experiment,
-                                    model,
-                                    stage,
-                                    payload,
-                                    wall: Duration::ZERO,
-                                    attempts: 1,
-                                }),
-                            }
-                            continue;
-                        }
-                    }
-                    CELL_IDENTITY.with(|c| {
-                        *c.borrow_mut() = Some(match model {
-                            Some(m) => format!("{workload} / {experiment} / {m}"),
-                            None => format!("{workload} / baseline"),
-                        });
-                    });
-                    let t = Instant::now();
-                    let mut attempts = 0u32;
-                    let caught = loop {
-                        attempts += 1;
-                        LAST_MODULE.with(|m| *m.borrow_mut() = None);
-                        let caught = catch_cell(|| exec_cell(cell));
-                        let transient = match &caught {
-                            Ok(Ok(())) => break caught,
-                            Ok(Err((_, payload))) => retryable(payload),
-                            // Contained panics are presumed transient-capable.
-                            Err(_) => true,
-                        };
-                        if !transient || attempts >= cfg.retry.max_attempts.max(1) {
-                            break caught;
-                        }
-                        // A memoized failure must be forgotten, or the
-                        // retry would just replay the memo.
-                        cache.forget_failed(key_of(cell, exps));
-                        retries.fetch_add(1, Ordering::Relaxed);
-                        if !cfg.retry.backoff.is_zero() {
-                            std::thread::sleep(cfg.retry.backoff);
-                        }
-                    };
-                    let wall = t.elapsed();
-                    CELL_IDENTITY.with(|c| *c.borrow_mut() = None);
-                    match caught {
-                        Ok(Ok(())) => {
-                            lock_tolerant(&cell_stats).push(CellStat {
-                                workload,
-                                experiment,
-                                model,
-                                wall,
-                            });
-                            if let (Some(journal), Some(fps)) = (cfg.journal, fps.as_deref()) {
-                                let stats = match cell {
-                                    Cell::Baseline { w } => baseline[w].get(),
-                                    Cell::Model { e, w, m } => {
-                                        model_stats[(e * workloads.len() + w) * 3 + m].get()
-                                    }
-                                };
-                                if let Some(stats) = stats {
-                                    let appended = journal.record(&JournalEntry {
-                                        fingerprint: &fps[i],
-                                        workload,
-                                        experiment,
-                                        model,
-                                        stats,
-                                    });
-                                    match appended {
-                                        Ok(RecordOutcome::Appended) => {
-                                            journal_appends.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        // Identical re-record (e.g. two
-                                        // resumed runs sharing a journal):
-                                        // nothing to count.
-                                        Ok(RecordOutcome::Duplicate) => {}
-                                        // The key now serves nobody; the
-                                        // conflict is counted on the
-                                        // journal and reported by drivers.
-                                        Ok(RecordOutcome::Conflict) => eprintln!(
-                                            "journal: fingerprint conflict on {} \
-                                             ({workload} / {experiment}); key quarantined",
-                                            &fps[i]
-                                        ),
-                                        // Durability degrades, the run
-                                        // continues (e.g. disk full).
-                                        Err(e) => eprintln!("journal: append failed: {e}"),
-                                    }
-                                }
-                            }
-                        }
-                        Ok(Err((stage, payload))) => {
-                            emit_triage(cell, stage, &payload, attempts);
-                            log.record(CellFailure {
-                                workload,
-                                experiment,
-                                model,
-                                stage,
-                                payload,
-                                wall,
-                                attempts,
-                            });
-                        }
-                        // A panic that escaped the compile cache's own
-                        // containment happened after compilation — in the
-                        // simulator or its sink.
-                        Err(panic_msg) => {
-                            let payload = FailurePayload::Panic(panic_msg);
-                            emit_triage(cell, FailureStage::Simulate, &payload, attempts);
-                            log.record(CellFailure {
-                                workload,
-                                experiment,
-                                model,
-                                stage: FailureStage::Simulate,
-                                payload,
-                                wall,
-                                attempts,
-                            });
-                        }
-                    }
+            scope.spawn(|| loop {
+                if log.aborted() {
+                    return;
                 }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(cell) = cells.get(i).copied() else {
+                    return;
+                };
+                if cfg.cell_limit.is_some_and(|limit| i >= limit) {
+                    interrupted.store(true, Ordering::Release);
+                    return;
+                }
+                run_cell(i, cell);
             });
         }
     });
@@ -1357,49 +1299,46 @@ pub fn run_matrix_configured(
         for (w, wl) in workloads.iter().enumerate() {
             let base = baseline[w].get();
             let slots: [Option<&SimStats>; 3] =
-                std::array::from_fn(|m| model_stats[(e * workloads.len() + w) * 3 + m].get());
+                std::array::from_fn(|m| slot_of(Cell::Model { e, w, m }).get());
             let outcome = match (base, slots[0], slots[1], slots[2]) {
                 (Some(base), Some(m0), Some(m1), Some(m2)) => {
                     let models: [SimStats; 3] = [m0.clone(), m1.clone(), m2.clone()];
-                    match models
-                        .iter()
-                        .enumerate()
-                        .find(|(_, s)| s.ret != base.ret)
-                        .map(|(m, s)| (Model::ALL[m], s.ret))
-                    {
+                    match models.iter().position(|s| s.ret != base.ret) {
                         None => CellOutcome::Ok(BenchResult {
                             name: wl.name,
                             base: base.clone(),
                             models,
                         }),
-                        Some((m, got)) => {
+                        Some(m) => {
                             // A typed failure under either policy:
                             // FailFast surfaces it as `Err(Diverged)`
-                            // through the compatibility wrapper, KeepGoing
-                            // contains it to this cell.
-                            let failure = CellFailure {
-                                workload: wl.name,
-                                experiment: exp.title,
-                                model: Some(m),
+                            // through `into_output`, KeepGoing contains
+                            // it to this cell.
+                            let model = Model::ALL[m];
+                            let failure = StageFailure {
                                 stage: FailureStage::Simulate,
                                 payload: FailurePayload::Error(PipelineError::Diverged {
                                     workload: wl.name.to_string(),
-                                    model: m,
-                                    got,
+                                    model,
+                                    got: models[m].ret,
                                     want: base.ret,
                                 }),
-                                wall: Duration::ZERO,
-                                attempts: 1,
                             };
                             // Divergence is only detectable here, after
                             // both sides ran; its bundle gets the module
                             // straight from the compile cache.
-                            let midx = Model::ALL.iter().position(|&x| x == m).unwrap_or(0);
-                            let cell = Cell::Model { e, w, m: midx };
-                            if let Some(module) = cache.module_of(key_of(cell, exps)) {
-                                LAST_MODULE.with(|slot| *slot.borrow_mut() = Some(module));
-                            }
-                            emit_triage(cell, FailureStage::Simulate, &failure.payload, 1);
+                            let cell = Cell::Model { e, w, m };
+                            let module = cache.module_of(key_of(cell, exps));
+                            emit_triage(cell, &failure, 1, module.as_deref());
+                            let failure = CellFailure {
+                                workload: wl.name,
+                                experiment: exp.title,
+                                model: Some(model),
+                                stage: failure.stage,
+                                payload: failure.payload,
+                                wall: Duration::ZERO,
+                                attempts: 1,
+                            };
                             failures.push(failure.clone());
                             CellOutcome::Failed(failure)
                         }
@@ -1576,41 +1515,33 @@ impl fmt::Display for RequestFailure {
     }
 }
 
-/// The content address of a request: the same deliberately conservative
-/// canonical-string FNV scheme as the matrix [`fingerprint`] (see the
-/// [`crate::journal`] docs), with the experiment slot naming the service
-/// namespace *and* the degradation policy — a degraded and a strict
-/// compile of the same source may legitimately produce different stats,
-/// so they must never share a key.
+/// The content address of a request: the matrix cells' canonical
+/// fingerprint (see the [`crate::journal`] docs), with the experiment
+/// slot naming the service namespace *and* the degradation policy — a
+/// degraded and a strict compile of the same source may legitimately
+/// produce different stats, so they must never share a key.
 pub fn request_fingerprint(req: &CellRequest, pipe: &Pipeline, degrade: bool) -> String {
-    let namespace = if degrade {
-        "service-degrade"
-    } else {
-        "service-strict"
+    let params = CellParams {
+        experiment: if degrade {
+            "service-degrade"
+        } else {
+            "service-strict"
+        },
+        model: Some(req.model),
+        issue: req.issue,
+        branches: req.branches,
+        memory: req.memory,
+        max_cycles: req.max_cycles,
     };
-    let canonical = format!(
-        "v{}|pipe{:016x}|{}|src{:016x}|args{:?}|{}|{}|issue{}|br{}|{:?}|cycles{}",
-        env!("CARGO_PKG_VERSION"),
-        fnv64(format!("{pipe:?}").as_bytes()),
-        req.name,
-        fnv64(req.source.as_bytes()),
-        req.args,
-        namespace,
-        model_slug(Some(req.model)),
-        req.issue,
-        req.branches,
-        req.memory,
-        req.max_cycles,
-    );
-    format!("{:016x}", fnv64(canonical.as_bytes()))
+    content_fingerprint(pipe, &req.name, &req.source, &req.args, &params)
 }
 
-/// Runs one [`CellRequest`] end to end with the engine's full containment
-/// stack: parameter validation, per-attempt panic capture ([`catch_cell`]),
-/// bounded retries of transient failures, the cooperative wall-clock
-/// deadline, and (optionally) the budget-degradation ladder. A
-/// pathological input degrades or fails *this request* — never the
-/// calling worker.
+/// Runs one [`CellRequest`] end to end through [`exec_cell`]: parameter
+/// validation, then a fresh compile (optionally down the
+/// budget-degradation ladder) and simulation with per-phase panic
+/// capture, bounded retries of transient failures and the cooperative
+/// wall-clock deadline. A pathological input degrades or fails *this
+/// request* — never the calling worker.
 ///
 /// # Errors
 /// A [`RequestFailure`] carrying the typed payload, attempt count, and
@@ -1620,99 +1551,64 @@ pub fn run_request(
     pipe: &Pipeline,
     cfg: &RequestConfig,
 ) -> Result<(SimStats, Degradation), RequestFailure> {
-    let started = Instant::now();
     if let Err(e) = req.validate() {
         return Err(RequestFailure {
             stage: FailureStage::Compile,
             payload: FailurePayload::Error(e),
             attempts: 1,
-            wall: started.elapsed(),
+            wall: Duration::ZERO,
         });
     }
-    let machine = MachineConfig::new(req.issue, req.branches);
-
-    // One attempt: compile (front + finish) and simulate, each phase
-    // under its own panic containment so a captured panic is attributed
-    // to the right stage.
-    let attempt = || -> Result<(SimStats, Degradation), (FailureStage, FailurePayload)> {
-        let compiled = catch_cell(|| -> Result<(Module, Degradation), PipelineError> {
-            let front = pipe.front(&req.source, &req.args)?;
-            if cfg.degrade {
-                pipe.finish_degraded(&front, req.model, &machine)
-            } else {
-                let module = pipe.finish(&front, req.model, &machine)?;
-                Ok((module, Degradation::default()))
-            }
-        });
-        let (module, degradation) = match compiled {
-            Ok(Ok(out)) => out,
-            Ok(Err(e)) => return Err((stage_of(&e), FailurePayload::Error(e))),
-            Err(panic_msg) => {
-                return Err((FailureStage::Compile, FailurePayload::Panic(panic_msg)))
-            }
-        };
-        let simmed = catch_cell(|| -> Result<SimStats, PipelineError> {
-            let decoded = Arc::new(DecodedModule::decode(&module));
-            let mut sim_cfg = SimConfig {
-                memory: req.memory,
-                max_cycles: req.max_cycles,
-                ..SimConfig::default()
-            };
-            if let Some(d) = cfg.deadline {
-                sim_cfg.deadline = Some(Instant::now() + d);
-            }
-            Ok(simulate_decoded(
-                &module,
-                &decoded,
-                "main",
-                &entry_args(&req.args),
-                machine,
-                sim_cfg,
-            )?)
-        });
-        match simmed {
-            Ok(Ok(stats)) => Ok((stats, degradation)),
-            Ok(Err(e)) => Err((stage_of(&e), FailurePayload::Error(e))),
-            Err(panic_msg) => Err((FailureStage::Simulate, FailurePayload::Panic(panic_msg))),
-        }
+    let run = CellRun {
+        identity: format!("{} / service / {}", req.name, req.model),
+        args: &req.args,
+        machine: MachineConfig::new(req.issue, req.branches),
+        memory: req.memory,
+        max_cycles: req.max_cycles,
+        deadline: cfg.deadline,
+        retry: cfg.retry,
+        fault_injection: pipe.fault_injection,
     };
-
-    CELL_IDENTITY.with(|c| {
-        *c.borrow_mut() = Some(format!("{} / service / {}", req.name, req.model));
-    });
-    let mut attempts = 0u32;
-    let result = loop {
-        attempts += 1;
-        match attempt() {
-            Ok(out) => break Ok(out),
-            Err((stage, payload)) => {
-                if retryable(&payload) && attempts < cfg.retry.max_attempts.max(1) {
-                    if !cfg.retry.backoff.is_zero() {
-                        std::thread::sleep(cfg.retry.backoff);
-                    }
-                    continue;
-                }
-                break Err(RequestFailure {
-                    stage,
-                    payload,
-                    attempts,
-                    wall: started.elapsed(),
-                });
-            }
-        }
+    let compile = || {
+        fresh_compile(
+            pipe,
+            &req.source,
+            &req.args,
+            req.model,
+            &run.machine,
+            cfg.degrade,
+        )
     };
-    CELL_IDENTITY.with(|c| *c.borrow_mut() = None);
-    result
+    exec_cell(&run, compile, || {}).map_err(|f| RequestFailure {
+        stage: f.failure.stage,
+        payload: f.failure.payload,
+        attempts: f.attempts,
+        wall: f.wall,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn plain(threads: usize, policy: FailurePolicy) -> MatrixConfig<'static> {
+        MatrixConfig {
+            threads,
+            policy,
+            ..MatrixConfig::default()
+        }
+    }
+
     #[test]
     fn empty_matrix_is_empty() {
-        let out =
-            run_matrix_workloads(&[], &[], &Pipeline::default(), 2).expect("empty matrix runs");
+        let out = run_matrix_configured(
+            &[],
+            &[],
+            &Pipeline::default(),
+            &plain(2, FailurePolicy::FailFast),
+        )
+        .into_output()
+        .expect("empty matrix runs");
         assert!(out.figures.is_empty());
         assert_eq!(out.stats.compile_hits + out.stats.compile_misses, 0);
     }
@@ -1725,7 +1621,13 @@ mod tests {
             source: "int main( {".to_string(),
             args: Vec::new(),
         };
-        let err = run_matrix_workloads(&[Experiment::fig8()], &[bad], &Pipeline::default(), 2);
+        let err = run_matrix_configured(
+            &[Experiment::fig8()],
+            &[bad],
+            &Pipeline::default(),
+            &plain(2, FailurePolicy::FailFast),
+        )
+        .into_output();
         assert!(err.is_err(), "syntax error must surface as PipelineError");
     }
 
@@ -1745,12 +1647,11 @@ mod tests {
                 .to_string(),
             args: Vec::new(),
         };
-        let run = run_matrix_workloads_policy(
+        let run = run_matrix_configured(
             &[Experiment::fig8()],
             &[bad, good],
             &Pipeline::default(),
-            2,
-            FailurePolicy::KeepGoing,
+            &plain(2, FailurePolicy::KeepGoing),
         );
         assert!(!run.report.is_empty());
         assert!(run
@@ -1791,5 +1692,42 @@ mod tests {
             run.stats.cells.len() <= 2,
             "no cell past the limit may have run"
         );
+    }
+
+    /// Pins the canonical fingerprint of one matrix cell, its baseline
+    /// and one request (strict and degraded) to the values stores and
+    /// journals already hold. Only a change that means to invalidate
+    /// every store and journal may update these hex strings.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let pipe = Pipeline::default();
+        let exps = [Experiment::fig8()];
+        let wls = [Workload {
+            name: "pin",
+            description: "pin",
+            source: "int main(int a) { return a + 7; }".to_string(),
+            args: vec![1, -2],
+        }];
+        let model_cell = Cell::Model { e: 0, w: 0, m: 2 };
+        assert_eq!(
+            fingerprint(model_cell, &exps, &wls, &pipe),
+            "2cc1b476283873fe"
+        );
+        assert_eq!(
+            fingerprint(Cell::Baseline { w: 0 }, &exps, &wls, &pipe),
+            "4c044cb96bfbd1e9"
+        );
+        let req = CellRequest {
+            name: "pin".to_string(),
+            source: "int main(int a) { return a + 7; }".to_string(),
+            args: vec![1, -2],
+            model: Model::FullPred,
+            issue: 8,
+            branches: 1,
+            memory: MemoryModel::Perfect,
+            max_cycles: 1_000_000,
+        };
+        assert_eq!(request_fingerprint(&req, &pipe, false), "252481f66d2e4ec9");
+        assert_eq!(request_fingerprint(&req, &pipe, true), "2328fdaf3b6d899c");
     }
 }

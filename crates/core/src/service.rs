@@ -40,10 +40,10 @@
 //! {"status":"rejected","fingerprint":"","error":"queue full (depth 256); retry later"}
 //! ```
 
-use crate::journal::escape;
+use crate::journal::{escape, memory_slug, model_slug, parse_memory_slug, parse_model_slug};
 use crate::matrix::CellRequest;
 use crate::pipeline::Model;
-use hyperpred_sim::{CacheConfig, MemoryModel, SimStats, DEFAULT_CYCLE_LIMIT};
+use hyperpred_sim::{MemoryModel, SimStats, DEFAULT_CYCLE_LIMIT};
 use hyperpred_workloads::gen::{self, Profile};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -224,32 +224,6 @@ fn array_body<'a>(json: &'a str, key: &str) -> Option<&'a str> {
 // Cell request serialization.
 // ---------------------------------------------------------------------------
 
-/// The wire slug of a memory model (`CacheConfig` geometry is always the
-/// default one; the experiment layer never uses another).
-fn memory_slug(m: &MemoryModel) -> &'static str {
-    match m {
-        MemoryModel::Perfect => "perfect",
-        MemoryModel::Caches(_) => "caches",
-    }
-}
-
-fn parse_memory(slug: &str) -> Option<MemoryModel> {
-    match slug {
-        "perfect" => Some(MemoryModel::Perfect),
-        "caches" => Some(MemoryModel::Caches(CacheConfig::default())),
-        _ => None,
-    }
-}
-
-fn parse_model(slug: &str) -> Option<Model> {
-    match slug {
-        "superblock" => Some(Model::Superblock),
-        "condmove" => Some(Model::CondMove),
-        "fullpred" => Some(Model::FullPred),
-        _ => None,
-    }
-}
-
 /// Serializes one request. `source` goes last (see module docs).
 pub fn request_to_json(req: &CellRequest) -> String {
     let args: Vec<String> = req.args.iter().map(i64::to_string).collect();
@@ -257,7 +231,7 @@ pub fn request_to_json(req: &CellRequest) -> String {
         "{{\"name\":\"{}\",\"model\":\"{}\",\"issue\":{},\"branches\":{},\
          \"memory\":\"{}\",\"max_cycles\":{},\"args\":[{}],\"source\":\"{}\"}}",
         escape(&req.name),
-        crate::journal::model_slug(Some(req.model)),
+        model_slug(Some(req.model)),
         req.issue,
         req.branches,
         memory_slug(&req.memory),
@@ -270,11 +244,14 @@ pub fn request_to_json(req: &CellRequest) -> String {
 /// Parses one request object; the error names the first missing or
 /// malformed field (it becomes the daemon's `400` body).
 pub fn parse_request(json: &str) -> Result<CellRequest, String> {
-    let model_slug = get_str(json, "model").ok_or("missing field `model`")?;
-    let model = parse_model(&model_slug).ok_or_else(|| format!("unknown model `{model_slug}`"))?;
-    let memory_slug = get_str(json, "memory").unwrap_or_else(|| "perfect".to_string());
-    let memory =
-        parse_memory(&memory_slug).ok_or_else(|| format!("unknown memory `{memory_slug}`"))?;
+    let model = get_str(json, "model").ok_or("missing field `model`")?;
+    // "baseline" names the matrix's denominator slot, not a model a
+    // request can ask for.
+    let Some(Some(model)) = parse_model_slug(&model) else {
+        return Err(format!("unknown model `{model}`"));
+    };
+    let memory = get_str(json, "memory").unwrap_or_else(|| "perfect".to_string());
+    let memory = parse_memory_slug(&memory).ok_or_else(|| format!("unknown memory `{memory}`"))?;
     Ok(CellRequest {
         name: get_str(json, "name").unwrap_or_default(),
         source: get_str(json, "source").ok_or("missing field `source`")?,
@@ -950,6 +927,7 @@ pub fn run_load(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyperpred_sim::CacheConfig;
 
     fn stats(seed: u64) -> SimStats {
         SimStats {
@@ -999,6 +977,40 @@ mod tests {
         let json = request_to_json(&req);
         let parsed = parse_request(&json).expect("parses");
         assert_eq!(parsed, req);
+    }
+
+    /// A request as any standard JSON encoder writes it: tab, CR LF and
+    /// a surrogate pair escaped, `é` both raw and as `\u00e9`, and the
+    /// optional `\/` escape.
+    #[test]
+    fn standard_json_escapes_decode_to_the_original_source() {
+        let json = "{\"name\":\"std\",\"model\":\"fullpred\",\"issue\":8,\"branches\":1,\
+                    \"source\":\"int main() {\\r\\n\\treturn 1; \\/* \u{e9} \\u00e9 \\ud83d\\ude00 *\\/ }\"}";
+        let parsed = parse_request(json).expect("parses");
+        assert_eq!(
+            parsed.source,
+            "int main() {\r\n\treturn 1; /* \u{e9} \u{e9} \u{1f600} */ }"
+        );
+        // Lone surrogates and unknown escapes decode to U+FFFD.
+        let json = "{\"model\":\"fullpred\",\"issue\":8,\"branches\":1,\
+                    \"source\":\"a\\ud83d b\\ude00 c\\q\"}";
+        assert_eq!(
+            parse_request(json).expect("parses").source,
+            "a\u{fffd} b\u{fffd} c\u{fffd}"
+        );
+    }
+
+    #[test]
+    fn encoded_requests_hold_no_control_bytes() {
+        let mut req = request();
+        req.name = "tab\tname".to_string();
+        req.source = "int main() {\r\n\treturn 2;\u{1}\u{1f} }\n".to_string();
+        let json = request_to_json(&req);
+        assert!(
+            json.bytes().all(|b| b >= 0x20),
+            "control byte in encoded request: {json:?}"
+        );
+        assert_eq!(parse_request(&json).expect("parses"), req);
     }
 
     #[test]

@@ -618,19 +618,8 @@ pub fn run_soak(cfg: &SoakConfig) -> io::Result<SoakReport> {
             attempts: 1,
         };
         let bundle = cfg.triage.as_ref().and_then(|tcfg| {
-            match triage::write_bundle(
-                tcfg,
-                &cell,
-                &prog.source,
-                &payload.to_string(),
-                module_slot.borrow().as_ref(),
-            ) {
-                Ok(dir) => Some(dir),
-                Err(e) => {
-                    eprintln!("soak: could not write bundle for {}: {e}", prog.name);
-                    None
-                }
-            }
+            let module = module_slot.borrow();
+            triage::emit_bundle(tcfg, &cell, &prog.source, &payload, module.as_ref())
         });
         report.failures.push(SoakFailure {
             workload: prog.name.clone(),

@@ -40,16 +40,19 @@
 //! budget's worth of simulation, and a smaller program usually stops
 //! tripping the budget anyway.
 
-use crate::faults;
-use crate::journal::{escape, field_str, field_u64};
-use crate::matrix::{catch_cell, FailurePayload, FailureStage};
+use crate::journal::{
+    escape, field_str, field_u64, memory_slug, model_slug, parse_memory_slug, parse_model_slug,
+};
+use crate::matrix::{
+    exec_cell, fresh_compile, CellRun, CompiledUnit, FailurePayload, FailureStage, RetryPolicy,
+};
 use crate::pipeline::{Model, Pipeline, PipelineError, Stage};
 use hyperpred_ir::Module;
-use hyperpred_lang::lower::entry_args;
 use hyperpred_sched::MachineConfig;
-use hyperpred_sim::{simulate, CacheConfig, MemoryModel, SimConfig, SimError, SimStats};
+use hyperpred_sim::{MemoryModel, SimError};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Schema version stamped into `cell.json` and `minimize.json`.
 pub const BUNDLE_VERSION: u64 = 1;
@@ -192,31 +195,32 @@ pub fn minimizable(sig: &str) -> bool {
 // Replay
 // ---------------------------------------------------------------------------
 
-fn machine_of(cell: &ReproCell) -> MachineConfig {
-    MachineConfig::new(cell.issue.max(1), cell.branches.max(1))
-}
-
-fn sim_of(cell: &ReproCell) -> SimConfig {
-    SimConfig {
+/// What a repro cell simulates under: its own machine and memory, no
+/// deadline, no retries.
+fn run_of(cell: &ReproCell) -> CellRun<'_> {
+    CellRun {
+        identity: format!(
+            "{} / {} / {}",
+            cell.workload,
+            cell.experiment,
+            model_slug(cell.model)
+        ),
+        args: &cell.args,
+        machine: MachineConfig::new(cell.issue.max(1), cell.branches.max(1)),
         memory: cell.memory,
         max_cycles: cell.max_cycles,
-        ..SimConfig::default()
-    }
-}
-
-fn pipe_of(cell: &ReproCell) -> Pipeline {
-    Pipeline {
+        deadline: None,
+        retry: RetryPolicy::default(),
         fault_injection: cell.fault_injection,
-        sabotage: cell.sabotage,
-        ..Pipeline::default()
     }
 }
 
-/// Replays one cell from source exactly as the matrix engine runs it:
-/// compile, (optionally) trip the simulate-stage injection point, then
-/// the timing simulation. Returns the failure signature, or `None` when
-/// the cell completes — for a cell recorded as diverged, "completes"
-/// additionally means the model's result matches a fresh baseline run.
+/// Replays one cell from source exactly as the matrix engine runs it,
+/// through the same [`exec_cell`]: compile, (optionally) trip the
+/// simulate-stage injection point, then the timing simulation. Returns
+/// the failure signature, or `None` when the cell completes — for a cell
+/// recorded as diverged, "completes" additionally means the model's
+/// result matches a fresh baseline run.
 pub fn replay(cell: &ReproCell, source: &str) -> Option<String> {
     // Soak cells replay through the soak battery itself: their failure
     // may live in a cross-model or decoded-vs-reference oracle that a
@@ -226,72 +230,47 @@ pub fn replay(cell: &ReproCell, source: &str) -> Option<String> {
     if cell.experiment == crate::soak::SOAK_EXPERIMENT {
         return crate::soak::replay_cell(cell, source);
     }
-    let pipe = pipe_of(cell);
-    let machine = machine_of(cell);
-    let sim_cfg = sim_of(cell);
-    let model = cell.model.unwrap_or(Model::Superblock);
-    let caught = catch_cell(|| -> Result<SimStats, PipelineError> {
-        let module = pipe.compile(source, &cell.args, model, &machine)?;
-        if pipe.fault_injection {
-            faults::maybe_injected_sim_panic(&module);
-        }
-        let stats = simulate(&module, "main", &entry_args(&cell.args), machine, sim_cfg)?;
-        Ok(stats)
-    });
-    let stats = match caught {
-        Err(panic_msg) => return Some(signature(&FailurePayload::Panic(panic_msg))),
-        Ok(Err(e)) => return Some(signature(&FailurePayload::Error(e))),
-        Ok(Ok(stats)) => stats,
+    let pipe = Pipeline {
+        fault_injection: cell.fault_injection,
+        sabotage: cell.sabotage,
+        ..Pipeline::default()
     };
-    if cell.signature.starts_with("diverged:") {
-        if let Some(model) = cell.model {
-            let base = catch_cell(|| -> Result<SimStats, PipelineError> {
-                let module = pipe.compile(
-                    source,
-                    &cell.args,
-                    Model::Superblock,
-                    &MachineConfig::one_issue(),
-                )?;
-                let base_sim = SimConfig {
-                    memory: MemoryModel::Perfect,
-                    max_cycles: cell.max_cycles,
-                    ..SimConfig::default()
-                };
-                Ok(simulate(
-                    &module,
-                    "main",
-                    &entry_args(&cell.args),
-                    MachineConfig::one_issue(),
-                    base_sim,
-                )?)
-            });
-            if let Ok(Ok(base)) = base {
-                if base.ret != stats.ret {
-                    return Some(format!("diverged: {model}"));
-                }
-            }
-        }
+    let replay_as = |model: Model, run: &CellRun<'_>| {
+        let compile = || fresh_compile(&pipe, source, &cell.args, model, &run.machine, false);
+        exec_cell(run, compile, || {}).map(|(stats, _)| stats)
+    };
+    let run = run_of(cell);
+    let stats = match replay_as(cell.model.unwrap_or(Model::Superblock), &run) {
+        Ok(stats) => stats,
+        Err(f) => return Some(signature(&f.failure.payload)),
+    };
+    let model = cell
+        .model
+        .filter(|_| cell.signature.starts_with("diverged:"))?;
+    let base_run = CellRun {
+        machine: MachineConfig::one_issue(),
+        memory: MemoryModel::Perfect,
+        ..run
+    };
+    match replay_as(Model::Superblock, &base_run) {
+        Ok(base) if base.ret != stats.ret => Some(format!("diverged: {model}")),
+        _ => None,
     }
-    None
 }
 
 /// Replays an already-compiled module (the simulate half only): the
 /// injection point, then the timing simulation. Used by the module-level
 /// minimizer, whose candidates exist only in memory.
-fn replay_module(cell: &ReproCell, module: &Module) -> Option<String> {
-    let machine = machine_of(cell);
-    let sim_cfg = sim_of(cell);
-    let caught = catch_cell(|| -> Result<SimStats, SimError> {
-        if cell.fault_injection {
-            faults::maybe_injected_sim_panic(module);
-        }
-        simulate(module, "main", &entry_args(&cell.args), machine, sim_cfg)
-    });
-    match caught {
-        Err(panic_msg) => Some(signature(&FailurePayload::Panic(panic_msg))),
-        Ok(Err(e)) => Some(signature(&FailurePayload::Error(e.into()))),
-        Ok(Ok(_)) => None,
-    }
+fn replay_module(cell: &ReproCell, module: &Arc<Module>) -> Option<String> {
+    let compile = || {
+        let unit = CompiledUnit {
+            module: Arc::clone(module),
+            decoded: None,
+        };
+        Ok((unit, ()))
+    };
+    let failed = exec_cell(&run_of(cell), compile, || {}).err()?;
+    Some(signature(&failed.failure.payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -320,8 +299,17 @@ fn module_insts(m: &Module) -> usize {
 /// removal iff the replayed failure signature is unchanged. Returns
 /// `None` when the original module does not fail to begin with.
 pub fn minimize_module(cell: &ReproCell, module: &Module) -> Option<MinimizedModule> {
-    let target = replay_module(cell, module)?;
     let mut best = module.clone();
+    let target = replay_module(cell, &Arc::new(module.clone()))?;
+    // Keeps `cand` as the new best iff it still fails the same way.
+    let keep = |cand: Module, best: &mut Module| {
+        let cand = Arc::new(cand);
+        let same = replay_module(cell, &cand).as_deref() == Some(&target);
+        if same {
+            *best = Arc::unwrap_or_clone(cand);
+        }
+        same
+    };
     let mut probes = 0usize;
     let mut shrunk = true;
     while shrunk && probes < MAX_PROBES {
@@ -333,8 +321,7 @@ pub fn minimize_module(cell: &ReproCell, module: &Module) -> Option<MinimizedMod
                 let mut cand = best.clone();
                 cand.funcs[f].layout.remove(i);
                 probes += 1;
-                if replay_module(cell, &cand).as_deref() == Some(&target) {
-                    best = cand;
+                if keep(cand, &mut best) {
                     shrunk = true;
                 } else {
                     i += 1;
@@ -350,8 +337,7 @@ pub fn minimize_module(cell: &ReproCell, module: &Module) -> Option<MinimizedMod
                     let mut cand = best.clone();
                     cand.funcs[f].block_mut(b).insts.remove(j);
                     probes += 1;
-                    if replay_module(cell, &cand).as_deref() == Some(&target) {
-                        best = cand;
+                    if keep(cand, &mut best) {
                         shrunk = true;
                     } else {
                         j += 1;
@@ -478,7 +464,7 @@ pub fn bundle_dir(root: &Path, cell: &ReproCell) -> PathBuf {
         "{}-{}-{}",
         slug(&cell.workload, 24),
         slug(&cell.experiment, 24),
-        crate::journal::model_slug(cell.model),
+        model_slug(cell.model),
     ))
 }
 
@@ -489,10 +475,6 @@ fn cell_json(cell: &ReproCell, payload_text: &str) -> String {
         .map(i64::to_string)
         .collect::<Vec<_>>()
         .join(",");
-    let memory = match cell.memory {
-        MemoryModel::Perfect => "perfect",
-        MemoryModel::Caches(_) => "caches",
-    };
     format!(
         "{{\n  \"version\": {BUNDLE_VERSION},\n  \"fingerprint\": \"{}\",\n  \
          \"workload\": \"{}\",\n  \"experiment\": \"{}\",\n  \"model\": \"{}\",\n  \
@@ -504,11 +486,11 @@ fn cell_json(cell: &ReproCell, payload_text: &str) -> String {
         escape(&cell.fingerprint),
         escape(&cell.workload),
         escape(&cell.experiment),
-        crate::journal::model_slug(cell.model),
+        model_slug(cell.model),
         args,
         cell.issue,
         cell.branches,
-        memory,
+        memory_slug(&cell.memory),
         cell.max_cycles,
         cell.fault_injection,
         cell.sabotage.map_or("none", Stage::name),
@@ -527,15 +509,6 @@ fn parse_stage(s: &str) -> FailureStage {
     }
 }
 
-fn parse_model(s: &str) -> Option<Model> {
-    match s {
-        "superblock" => Some(Model::Superblock),
-        "condmove" => Some(Model::CondMove),
-        "fullpred" => Some(Model::FullPred),
-        _ => None, // "baseline"
-    }
-}
-
 fn parse_cell_json(json: &str) -> Result<ReproCell, String> {
     let version = field_u64(json, "version").ok_or("cell.json: missing version")?;
     if version != BUNDLE_VERSION {
@@ -550,15 +523,17 @@ fn parse_cell_json(json: &str) -> Result<ReproCell, String> {
         .filter(|s| !s.is_empty())
         .map(|s| s.parse().map_err(|_| format!("cell.json: bad arg `{s}`")))
         .collect::<Result<Vec<i64>, String>>()?;
-    let memory = match need("memory")?.as_str() {
-        "caches" => MemoryModel::Caches(CacheConfig::default()),
-        _ => MemoryModel::Perfect,
-    };
+    let memory = need("memory")?;
+    let memory = parse_memory_slug(&memory)
+        .ok_or_else(|| format!("cell.json: unknown memory `{memory}`"))?;
+    let model = need("model")?;
+    let model =
+        parse_model_slug(&model).ok_or_else(|| format!("cell.json: unknown model `{model}`"))?;
     Ok(ReproCell {
         workload: need("workload")?,
         args,
         experiment: need("experiment")?,
-        model: parse_model(&need("model")?),
+        model,
         issue: field_u64(json, "issue").ok_or("cell.json: missing issue")? as u32,
         branches: field_u64(json, "branches").ok_or("cell.json: missing branches")? as u32,
         memory,
@@ -634,6 +609,31 @@ pub fn write_bundle(
         }
     }
     Ok(dir)
+}
+
+/// Writes the repro bundle of a permanent failure and logs where it went.
+/// Bundle errors are reported, never fatal: triage must not take down the
+/// run that is being triaged.
+pub(crate) fn emit_bundle(
+    cfg: &TriageConfig,
+    cell: &ReproCell,
+    source: &str,
+    payload: &FailurePayload,
+    module: Option<&Module>,
+) -> Option<PathBuf> {
+    match write_bundle(cfg, cell, source, &payload.to_string(), module) {
+        Ok(dir) => {
+            eprintln!("triage: wrote repro bundle {}", dir.display());
+            Some(dir)
+        }
+        Err(e) => {
+            eprintln!(
+                "triage: could not write bundle for {} / {}: {e}",
+                cell.workload, cell.experiment
+            );
+            None
+        }
+    }
 }
 
 fn write_file(path: &Path, contents: &str) -> io::Result<()> {
@@ -724,6 +724,17 @@ mod tests {
         assert_eq!(back.signature, c.signature);
         assert_eq!(back.fingerprint, c.fingerprint);
         assert_eq!(back.attempts, 2);
+    }
+
+    #[test]
+    fn unknown_slugs_are_load_errors() {
+        let json = cell_json(&cell("panic: boom"), "panic: boom");
+        let dram = json.replace("\"memory\": \"perfect\"", "\"memory\": \"dram\"");
+        let err = parse_cell_json(&dram).expect_err("unknown memory must not load as perfect");
+        assert!(err.contains("unknown memory `dram`"), "{err}");
+        let odd = json.replace("\"model\": \"fullpred\"", "\"model\": \"predicated\"");
+        let err = parse_cell_json(&odd).expect_err("unknown model must not load as baseline");
+        assert!(err.contains("unknown model `predicated`"), "{err}");
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! exactly the injected cells with the right stage and payload.
 
 use hyperpred::faults::{
-    arm_flaky, cycle_hog_fixture, diverge_fixture, flaky_fixture, panic_fixture, DIVERGE_RESULT,
+    arm_flaky, cycle_hog_fixture, diverge_fixture, flaky_fixture, panic_fixture, sim_panic_fixture,
+    DIVERGE_RESULT,
 };
 use hyperpred::sim::SimError;
 use hyperpred::Model;
 use hyperpred::{
-    run_matrix_configured, run_matrix_workloads_policy, run_workload, CellOutcome, Experiment,
+    run_matrix_configured, run_request, run_workload, CellOutcome, CellRequest, Experiment,
     FailurePayload, FailurePolicy, FailureStage, MatrixConfig, Pipeline, PipelineError,
-    RetryPolicy,
+    RequestConfig, RetryPolicy,
 };
 use hyperpred_workloads::Workload;
 use std::time::Duration;
@@ -78,7 +79,16 @@ fn keep_going_contains_injected_faults() {
     wls.push(panic_fixture());
     wls.push(cycle_hog_fixture(100_000));
 
-    let run = run_matrix_workloads_policy(&[exp], &wls, &pipe, 3, FailurePolicy::KeepGoing);
+    let run = run_matrix_configured(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 3,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     // The report names exactly the injected workloads — never a healthy one.
     assert!(!run.report.is_empty(), "injected faults must be reported");
@@ -156,7 +166,16 @@ fn keep_going_reports_divergence_as_cell_failure_not_panic() {
     let n_healthy = wls.len();
     wls.push(diverge_fixture());
 
-    let run = run_matrix_workloads_policy(&[exp], &wls, &pipe, 2, FailurePolicy::KeepGoing);
+    let run = run_matrix_configured(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 2,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     // Exactly the injected workload fails, with the typed payload naming
     // the diverging model and both results.
@@ -278,6 +297,69 @@ fn retry_policy_absorbs_transient_failures() {
             "the report surfaces the attempt count: {f}"
         );
     }
+
+    // Phases 3 and 4: the request path shares the retry loop.
+    let flaky = flaky_fixture();
+    let req = request_for(&flaky, &exp, Model::FullPred);
+    let cfg = |max_attempts| RequestConfig {
+        retry: RetryPolicy {
+            max_attempts,
+            backoff: Duration::ZERO,
+        },
+        ..RequestConfig::default()
+    };
+    arm_flaky(2);
+    let ok = run_request(&req, &pipe, &cfg(3));
+    arm_flaky(0);
+    assert!(
+        ok.is_ok(),
+        "retries must absorb the transient panics: {:?}",
+        ok.err()
+    );
+    arm_flaky(100);
+    let failed = run_request(&req, &pipe, &cfg(2));
+    arm_flaky(0);
+    let failure = failed.expect_err("exhausted retries must fail the request");
+    assert_eq!(failure.stage, FailureStage::Compile);
+    assert_eq!(
+        failure.attempts, 2,
+        "a permanent failure records every attempt spent"
+    );
+}
+
+/// The request for `w` under `exp`'s machine and memory.
+fn request_for(w: &Workload, exp: &Experiment, model: Model) -> CellRequest {
+    CellRequest {
+        name: w.name.to_string(),
+        source: w.source.clone(),
+        args: w.args.clone(),
+        model,
+        issue: exp.issue,
+        branches: exp.branches,
+        memory: exp.memory,
+        max_cycles: exp.max_cycles,
+    }
+}
+
+/// A panic in the simulate phase of a request is attributed to the
+/// simulate stage: requests run the same injection hook as the matrix.
+#[test]
+fn request_sim_panic_fails_at_simulate_stage() {
+    let pipe = Pipeline {
+        fault_injection: true,
+        ..Pipeline::default()
+    };
+    let req = request_for(&sim_panic_fixture(), &experiment(), Model::FullPred);
+    let failure = run_request(&req, &pipe, &RequestConfig::default())
+        .expect_err("the injected simulate-stage panic must fail the request");
+    assert_eq!(failure.stage, FailureStage::Simulate);
+    match &failure.payload {
+        FailurePayload::Panic(msg) => assert!(
+            msg.contains("injected simulate-stage panic"),
+            "captured message should carry the panic text: {msg}"
+        ),
+        other => panic!("the request must fail as a captured panic, got {other}"),
+    }
 }
 
 /// A runaway cell with an effectively unlimited *cycle* budget must still
@@ -332,7 +414,16 @@ fn fail_fast_aborts_after_first_failure() {
     let mut wls = vec![panic_fixture()];
     wls.extend(healthy());
 
-    let run = run_matrix_workloads_policy(&[exp], &wls, &pipe, 1, FailurePolicy::FailFast);
+    let run = run_matrix_configured(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 1,
+            policy: FailurePolicy::FailFast,
+            ..MatrixConfig::default()
+        },
+    );
 
     assert_eq!(run.report.len(), 1, "fail-fast stops at the first failure");
     assert_eq!(run.report.failures[0].workload, "inject-panic");

@@ -5,8 +5,7 @@
 //! reused.
 
 use hyperpred::{
-    run_matrix_configured, run_matrix_workloads_policy, Experiment, FailurePolicy, MatrixConfig,
-    MatrixRun, Pipeline, RunJournal,
+    run_matrix_configured, Experiment, FailurePolicy, MatrixConfig, MatrixRun, Pipeline, RunJournal,
 };
 use hyperpred_workloads::Workload;
 use std::path::PathBuf;
@@ -71,7 +70,16 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     let pipe = Pipeline::default();
 
     // The ground truth: one uninterrupted serial run, no journal at all.
-    let reference = run_matrix_workloads_policy(&exps, &wls, &pipe, 1, FailurePolicy::KeepGoing);
+    let reference = run_matrix_configured(
+        &exps,
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 1,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     // Phase 1: journal at one thread, killed after 5 claimed cells.
     let first = {
@@ -175,8 +183,16 @@ fn changed_workload_invalidates_stale_journal_entries() {
     // exactly like this): every stale entry must be ignored.
     let mut changed = workloads();
     changed[0].source = changed[0].source.replace("i < 300", "i < 301");
-    let reference =
-        run_matrix_workloads_policy(&exps, &changed, &pipe, 1, FailurePolicy::KeepGoing);
+    let reference = run_matrix_configured(
+        &exps,
+        &changed,
+        &pipe,
+        &MatrixConfig {
+            threads: 1,
+            policy: FailurePolicy::KeepGoing,
+            ..MatrixConfig::default()
+        },
+    );
 
     let journal = RunJournal::open(&path).expect("reopen journal");
     let run = run_matrix_configured(

@@ -7,7 +7,10 @@
 //! the CI figures smoke job and the `figures`/`hyperpredc report`
 //! binaries.
 
-use hyperpred::{run_matrix_workloads, run_workload, BenchResult, Experiment, Model, Pipeline};
+use hyperpred::{
+    run_matrix_configured, run_request, run_workload, BenchResult, CellRequest, Experiment,
+    MatrixConfig, Model, Pipeline, RequestConfig,
+};
 use hyperpred_workloads::{all, by_name, Scale, Workload};
 
 /// A machine-sharing pair: Figures 8 and 11 both schedule for 8-issue,
@@ -106,7 +109,17 @@ fn matrix_matches_serial_at_any_thread_count() {
         .collect();
 
     for threads in [1, 4] {
-        let out = run_matrix_workloads(&exps, &wls, &pipe, threads).expect("matrix");
+        let out = run_matrix_configured(
+            &exps,
+            &wls,
+            &pipe,
+            &MatrixConfig {
+                threads,
+                ..MatrixConfig::default()
+            },
+        )
+        .into_output()
+        .expect("matrix");
         assert_eq!(out.figures.len(), serial.len());
         for (fig, ser) in out.figures.iter().zip(&serial) {
             for (a, b) in fig.iter().zip(ser) {
@@ -118,7 +131,17 @@ fn matrix_matches_serial_at_any_thread_count() {
     // While we have both figures: Figure 11 evaluates with 64K caches but
     // its speedup denominator must be the perfect-memory baseline,
     // identical to Figure 8's (the fixed run_workload bug).
-    let out = run_matrix_workloads(&exps, &wls, &pipe, 2).expect("matrix");
+    let out = run_matrix_configured(
+        &exps,
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 2,
+            ..MatrixConfig::default()
+        },
+    )
+    .into_output()
+    .expect("matrix");
     for (a, b) in out.figures[0].iter().zip(&out.figures[1]) {
         assert_eq!(a.base, b.base, "{}: denominators must match", a.name);
         assert_eq!(
@@ -144,7 +167,17 @@ fn full_suite_matrix_matches_serial() {
         .map(|w| run_workload(w, &exp, &pipe).expect("serial cell"))
         .collect();
 
-    let out = run_matrix_workloads(&[exp], &wls, &pipe, 4).expect("matrix");
+    let out = run_matrix_configured(
+        &[exp],
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 4,
+            ..MatrixConfig::default()
+        },
+    )
+    .into_output()
+    .expect("matrix");
     assert_eq!(out.figures[0].len(), wls.len());
     for (a, b) in out.figures[0].iter().zip(&serial) {
         assert_same(a, b, "full suite, 4 threads vs serial");
@@ -162,7 +195,17 @@ fn caches_deduplicate_compiles_and_baselines() {
     let pipe = Pipeline::default();
     let exps = experiments();
     let wls = workloads();
-    let out = run_matrix_workloads(&exps, &wls, &pipe, 2).expect("matrix");
+    let out = run_matrix_configured(
+        &exps,
+        &wls,
+        &pipe,
+        &MatrixConfig {
+            threads: 2,
+            ..MatrixConfig::default()
+        },
+    )
+    .into_output()
+    .expect("matrix");
 
     // Figures 8 and 11 share a machine: each (workload, model) compiles
     // once and hits once. The baseline compile is shared too but only
@@ -187,4 +230,42 @@ fn caches_deduplicate_compiles_and_baselines() {
     );
     // Cache counters must show real reuse for the acceptance criterion.
     assert!(out.stats.compile_hits > 0);
+}
+
+/// The request path and the matrix are one executor: on the Figure 8
+/// machine, requests compiled without degradation reproduce the matrix's
+/// model cells bit-identically.
+#[test]
+fn requests_match_matrix_cells() {
+    let pipe = Pipeline::default();
+    let exp = Experiment::fig8();
+    let wls: Vec<Workload> = ["wc", "cmp", "grep"]
+        .iter()
+        .map(|n| by_name(n, Scale::Test).expect("workload"))
+        .collect();
+    let out = run_matrix_configured(&[exp], &wls, &pipe, &MatrixConfig::default())
+        .into_output()
+        .expect("matrix");
+    let cfg = RequestConfig {
+        degrade: false,
+        ..RequestConfig::default()
+    };
+    for (w, r) in wls.iter().zip(&out.figures[0]) {
+        for (i, model) in Model::ALL.into_iter().enumerate() {
+            let req = CellRequest {
+                name: w.name.to_string(),
+                source: w.source.clone(),
+                args: w.args.clone(),
+                model,
+                issue: exp.issue,
+                branches: exp.branches,
+                memory: exp.memory,
+                max_cycles: exp.max_cycles,
+            };
+            let (stats, degradation) = run_request(&req, &pipe, &cfg)
+                .unwrap_or_else(|f| panic!("{} / {model}: request failed: {f}", w.name));
+            assert!(!degradation.is_degraded());
+            assert_eq!(stats, r.models[i], "{} / {model}: request differs", w.name);
+        }
+    }
 }
