@@ -32,9 +32,9 @@
 //!
 //! The durability flags (each implies `--keep-going`):
 //!
-//! * `--resume FILE` — journal every completed cell to `FILE` (JSONL) and
-//!   reuse journaled cells on a later run, so a killed run resumes where
-//!   it left off with bit-identical stats;
+//! * `--resume DIR` — record every completed cell in the result store at
+//!   `DIR` and reuse recorded cells on a later run, so a killed run
+//!   resumes where it left off with bit-identical stats;
 //! * `--retries N` — re-run transiently failing cells up to `N` attempts;
 //! * `--deadline SECS` — per-cell wall-clock watchdog alongside the cycle
 //!   budget;
@@ -46,7 +46,7 @@
 use hyperpred::faults::{cycle_hog_fixture, panic_fixture};
 use hyperpred::{
     branch_table, instruction_table, run_matrix_configured, speedup_table, summarize_run,
-    BenchResult, Experiment, FailurePolicy, MatrixConfig, Pipeline, RetryPolicy, RunJournal,
+    BenchResult, Experiment, FailurePolicy, MatrixConfig, Pipeline, RetryPolicy, Store,
     TriageConfig,
 };
 use hyperpred_bench::hotpath::{check_regression, run_bench, BenchConfig};
@@ -81,7 +81,7 @@ fn usage() -> ExitCode {
         "usage: figures [fig8|fig9|fig10|fig11|table2|table3 ...] \
          [--scale test|full] [--threads N] [--verbose] \
          [--keep-going] [--inject-faults] \
-         [--resume journal.jsonl] [--retries N] [--deadline SECS] \
+         [--resume DIR] [--retries N] [--deadline SECS] \
          [--triage DIR] [--max-cells N] \
          [--bench N [--bench-out FILE] [--bench-baseline FILE]]"
     );
@@ -258,15 +258,12 @@ fn main() -> ExitCode {
         workloads.push(panic_fixture());
         workloads.push(cycle_hog_fixture(4_000_000));
     }
-    let journal = match &opts.resume {
-        Some(p) => match RunJournal::open(p) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("figures: cannot open journal {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let journal = match opts.resume.as_ref().map(Store::open).transpose() {
+        Ok(j) => j,
+        Err(e) => {
+            eprintln!("figures: cannot open resume store: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let triage = opts.triage.as_ref().map(TriageConfig::new);
     let run = run_matrix_configured(
@@ -290,6 +287,9 @@ fn main() -> ExitCode {
             cell_limit: opts.max_cells,
         },
     );
+    if let Some(Err(e)) = journal.as_ref().map(Store::sync) {
+        eprintln!("figures: resume store sync failed: {e}");
+    }
     let summary = summarize_run(&run);
     eprintln!("{}", summary.text);
     if opts.verbose {

@@ -31,6 +31,7 @@
 //! and the CI runner.
 
 use hyperpred::emu::{DecodedModule, Emulator, NullSink};
+use hyperpred::json::{self, Value};
 use hyperpred::lang::lower::entry_args;
 use hyperpred::sched::MachineConfig;
 use hyperpred::sim::{simulate_decoded, SimConfig, SimStats};
@@ -369,24 +370,9 @@ pub fn run_bench(cfg: &BenchConfig) -> Result<BenchReport, PipelineError> {
     })
 }
 
-/// Extracts a top-level-unique numeric field from hand-rolled JSON.
-/// Good enough for our own schema; not a general JSON parser.
-fn json_number_field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts a string field (first occurrence) from hand-rolled JSON.
-fn json_string_field(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
+/// A number from the report's `aggregate` object.
+fn aggregate(report: &Value, key: &str) -> Option<f64> {
+    report.get("aggregate")?.get(key)?.as_f64()
 }
 
 /// The CI regression guard: compares a fresh report against the
@@ -399,15 +385,20 @@ fn json_string_field(json: &str, key: &str) -> Option<String> {
 /// unreadable, was recorded at a different scale, or when aggregate
 /// emulated insts/sec dropped below [`REGRESSION_FLOOR`] of it.
 pub fn check_regression(report: &BenchReport, baseline_json: &str) -> Result<String, String> {
-    let version = json_number_field(baseline_json, "version")
+    let baseline = json::parse(baseline_json).map_err(|e| format!("baseline JSON: {e}"))?;
+    let version = baseline
+        .get("version")
+        .and_then(Value::as_u64)
         .ok_or_else(|| "baseline JSON has no \"version\" field".to_string())?;
-    if version as u64 != BENCH_JSON_VERSION {
+    if version != BENCH_JSON_VERSION {
         return Err(format!(
             "baseline schema version {version} != supported {BENCH_JSON_VERSION}; \
              regenerate the baseline"
         ));
     }
-    let base_scale = json_string_field(baseline_json, "scale")
+    let base_scale = baseline
+        .get("scale")
+        .and_then(Value::as_str)
         .ok_or_else(|| "baseline JSON has no \"scale\" field".to_string())?;
     if base_scale != scale_slug(report.scale) {
         return Err(format!(
@@ -416,7 +407,7 @@ pub fn check_regression(report: &BenchReport, baseline_json: &str) -> Result<Str
             scale_slug(report.scale)
         ));
     }
-    let base_ips = json_number_field(baseline_json, "emulated_insts_per_sec")
+    let base_ips = aggregate(&baseline, "emulated_insts_per_sec")
         .ok_or_else(|| "baseline JSON has no \"emulated_insts_per_sec\" field".to_string())?;
     let cur_ips = report.insts_per_sec();
     let floor = base_ips * REGRESSION_FLOOR;
@@ -468,11 +459,12 @@ mod tests {
     fn json_roundtrips_through_the_guard_parsers() {
         let r = report_with_rate(1_000_000, 0.25);
         let json = r.to_json();
-        assert_eq!(json_number_field(&json, "version"), Some(2.0));
-        assert_eq!(json_string_field(&json, "scale").as_deref(), Some("test"));
-        let ips = json_number_field(&json, "emulated_insts_per_sec").expect("aggregate rate");
+        let parsed = json::parse(&json).expect("the report is valid JSON");
+        assert_eq!(parsed.get("version").and_then(Value::as_u64), Some(2));
+        assert_eq!(parsed.get("scale").and_then(Value::as_str), Some("test"));
+        let ips = aggregate(&parsed, "emulated_insts_per_sec").expect("aggregate rate");
         assert!((ips - r.insts_per_sec()).abs() < 1.0, "{ips}");
-        let cps = json_number_field(&json, "simulated_cycles_per_sec").expect("cycle rate");
+        let cps = aggregate(&parsed, "simulated_cycles_per_sec").expect("cycle rate");
         assert!((cps - r.cycles_per_sec()).abs() < 1.0, "{cps}");
         // Per-cell fields are present and the cell list is well-formed.
         assert!(json.contains("\"workload\": \"wl\""));
@@ -494,7 +486,8 @@ mod tests {
         let json = r.to_json();
         assert!(!json.contains("inf"), "{json}");
         assert!(!json.contains("NaN"), "{json}");
-        let ips = json_number_field(&json, "emulated_insts_per_sec").expect("parseable rate");
+        let parsed = json::parse(&json).expect("the report is valid JSON");
+        let ips = aggregate(&parsed, "emulated_insts_per_sec").expect("parseable rate");
         assert!(ips.is_finite() && ips > 0.0, "{ips}");
         // The clamp floor bounds the reported rate.
         assert!(ips <= 1_000_000.0 / MIN_MEASURABLE_SECS);

@@ -6,12 +6,12 @@
 //! hyperpredc sim  prog.c --model all  --issue 8 --caches
 //! hyperpredc dump prog.c --model cmov
 //! hyperpredc report [--threads N] [--scale test|full] [--verbose] [--keep-going]
-//!                   [--resume journal.jsonl] [--retries N] [--triage DIR]
+//!                   [--resume DIR] [--retries N] [--triage DIR]
 //! hyperpredc repro <bundle-dir> [--minimize]
 //! hyperpredc lint <workload|all|file.c> [--model all] [--sabotage ifconvert]
 //! hyperpredc analyze <workload|all|file.c> [--model full] [--scale test|full]
 //!                    [--check] [--issue K] [--branches B] [--args a,b,c]
-//! hyperpredc soak --seed 1 --cells 500 [--resume journal.jsonl] [--triage DIR]
+//! hyperpredc soak --seed 1 --cells 500 [--resume DIR] [--triage DIR]
 //!                 [--profiles branchy,nasty] [--widths 1x1,4x1,8x2]
 //!                 [--max-cells N] [--sabotage promote]
 //! ```
@@ -21,8 +21,8 @@
 //! cache and wall-time counters. With `--keep-going` the engine contains
 //! per-cell failures: the tables render every healthy cell, a failure
 //! summary goes to stderr, and the exit code is nonzero iff any cell
-//! failed. `--resume` journals every completed cell to (and reuses
-//! already-journaled cells from) an append-only JSONL file, so a killed
+//! failed. `--resume` records every completed cell in (and reuses
+//! already-recorded cells from) a result-store directory, so a killed
 //! run resumes where it left off; `--retries` re-runs transient failures;
 //! `--triage` writes a repro bundle per permanent failure. Each of these
 //! implies `--keep-going`.
@@ -53,7 +53,7 @@
 //! through the full cross-model differential oracle battery (see
 //! [`hyperpred::soak`]): decoded-vs-reference emulation, cross-model
 //! return values and store streams, simulator/trace consistency, and
-//! per-pass lint checkpoints. `--resume` journals completed programs so
+//! per-pass lint checkpoints. `--resume DIR` records completed programs so
 //! a killed soak picks up where it left off; `--triage` writes a
 //! minimized repro bundle per failure; `--sabotage <pass>` is the
 //! self-test hook that proves the oracles catch a miscompile. Exit
@@ -67,7 +67,7 @@ use hyperpred::sim::{CacheConfig, MemoryModel, SimConfig};
 use hyperpred::workloads::Scale;
 use hyperpred::{
     branch_table, fsck, instruction_table, run_matrix_configured, speedup_table, summarize_run,
-    BenchResult, Experiment, FailurePolicy, FsckOptions, MatrixConfig, RetryPolicy, RunJournal,
+    BenchResult, Experiment, FailurePolicy, FsckOptions, MatrixConfig, RetryPolicy, Store,
     TriageConfig,
 };
 use hyperpred::{evaluate, speedup, Model, Pipeline, PipelineError, Stage};
@@ -89,13 +89,13 @@ fn usage() -> ExitCode {
         "usage: hyperpredc <run|sim|dump> <file.c> \
          [--model sup|cmov|full|all] [--issue K] [--branches B] [--caches] [--args a,b,c]\n\
          \x20      hyperpredc report [--threads N] [--scale test|full] [--verbose] [--keep-going] \
-         [--resume journal.jsonl] [--retries N] [--triage DIR]\n\
+         [--resume DIR] [--retries N] [--triage DIR]\n\
          \x20      hyperpredc repro <bundle-dir> [--minimize]\n\
          \x20      hyperpredc lint <workload|all|file.c> [--model sup|cmov|full|all] \
          [--scale test|full] [--sabotage <pass>] [--issue K] [--branches B] [--args a,b,c]\n\
          \x20      hyperpredc analyze <workload|all|file.c> [--model sup|cmov|full|all] \
          [--scale test|full] [--check] [--issue K] [--branches B] [--args a,b,c]\n\
-         \x20      hyperpredc soak --seed S --cells N [--resume journal.jsonl] [--triage DIR] \
+         \x20      hyperpredc soak --seed S --cells N [--resume DIR] [--triage DIR] \
          [--profiles p,q] [--widths IxB,...] [--max-cells N] [--sabotage <pass>] \
          [--max-cycles N] [--fuel N]\n\
          \x20      hyperpredc bench-load [--addr HOST:PORT] [--cells N] [--batch N] \
@@ -464,15 +464,12 @@ fn report(mut args: impl Iterator<Item = String>) -> ExitCode {
         Experiment::fig10(),
         Experiment::fig11(),
     ];
-    let journal = match &resume {
-        Some(p) => match RunJournal::open(p) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("hyperpredc: cannot open journal {p}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
+    let journal = match resume.as_ref().map(Store::open).transpose() {
+        Ok(j) => j,
+        Err(e) => {
+            eprintln!("hyperpredc: cannot open resume store: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let triage = triage_dir.map(TriageConfig::new);
     let workloads = hyperpred::workloads::all(scale);
@@ -496,6 +493,9 @@ fn report(mut args: impl Iterator<Item = String>) -> ExitCode {
             ..MatrixConfig::default()
         },
     );
+    if let Some(Err(e)) = journal.as_ref().map(Store::sync) {
+        eprintln!("hyperpredc: resume store sync failed: {e}");
+    }
     let figures: Vec<Vec<BenchResult>> = run
         .outcomes
         .iter()

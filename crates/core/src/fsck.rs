@@ -29,9 +29,9 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::journal::{is_expected_skip, parse_cell_line, CellIndex};
+use crate::journal::{CellIndex, Line};
 use crate::store::{
-    is_segment_name, lock_is_stale, CompactStats, Store, StoreConfig, COMPACT_LOCK,
+    is_segment_name, lock_is_stale, scan_segment, CompactStats, Store, StoreConfig, COMPACT_LOCK,
     DEFAULT_LOCK_STALE_AFTER, TMP_PREFIX,
 };
 use crate::vfs::Vfs;
@@ -172,71 +172,44 @@ impl std::fmt::Display for FsckReport {
     }
 }
 
-/// One scanned segment, split into surviving lines and damage.
+/// One scanned segment: the lines a rewrite keeps (cells, meta, foreign
+/// versions), the corrupt lines bound for quarantine, and whether it
+/// ends in a torn tail (dropped on rewrite, never quarantined — it is an
+/// expected crash artifact, not suspicious data).
+#[derive(Default)]
 struct SegmentScan {
-    path: PathBuf,
-    /// Lines to keep on rewrite: valid cells, meta, foreign versions.
     kept: Vec<String>,
-    /// Corrupt lines destined for quarantine.
     bad: Vec<String>,
-    /// A torn trailing line (dropped on rewrite, never quarantined —
-    /// it is an expected crash artifact, not suspicious data).
-    torn: Option<String>,
-}
-
-impl SegmentScan {
-    fn damaged(&self) -> bool {
-        !self.bad.is_empty() || self.torn.is_some()
-    }
+    torn: bool,
 }
 
 fn scan_one(vfs: &Vfs, path: &Path, index: &mut CellIndex) -> io::Result<SegmentScan> {
-    let content = vfs.read_to_string(path)?;
-    let lines: Vec<&str> = content.lines().collect();
-    let mut scan = SegmentScan {
-        path: path.to_path_buf(),
-        kept: Vec::new(),
-        bad: Vec::new(),
-        torn: None,
-    };
-    for (idx, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some((fp, stats)) = parse_cell_line(line) {
+    let mut scan = SegmentScan::default();
+    scan_segment(&vfs.read_to_string(path)?, |line, class| match class {
+        Line::Cell(fp, stats) => {
             index.insert(&fp, stats);
-            scan.kept.push((*line).to_string());
-            continue;
+            scan.kept.push(line.to_string());
         }
-        let is_last = idx + 1 == lines.len();
-        if is_expected_skip(line, is_last) {
-            // Meta and foreign-version lines survive a rewrite; a torn
-            // tail does not.
-            if is_last && !line.trim_end().ends_with('}') {
-                scan.torn = Some((*line).to_string());
-            } else {
-                scan.kept.push((*line).to_string());
-            }
-        } else {
-            scan.bad.push((*line).to_string());
-        }
-    }
+        Line::Skip => scan.kept.push(line.to_string()),
+        Line::Torn => scan.torn = true,
+        Line::Corrupt => scan.bad.push(line.to_string()),
+    });
     Ok(scan)
 }
 
-/// Rewrites one damaged segment crash-safely (scratch + fsync + rename
-/// + directory fsync) and quarantines its corrupt lines.
+/// Rewrites the damaged segment at `path` crash-safely (scratch + fsync
+/// + rename + directory fsync) and quarantines its corrupt lines.
 fn repair_segment(
     vfs: &Vfs,
     dir: &Path,
+    path: &Path,
     scan: &SegmentScan,
     report: &mut FsckReport,
 ) -> io::Result<()> {
     if !scan.bad.is_empty() {
         let qdir = dir.join(QUARANTINE_DIR);
         vfs.create_dir_all(&qdir)?;
-        let name = scan
-            .path
+        let name = path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| "segment".to_string());
@@ -248,15 +221,11 @@ fn repair_segment(
         report.quarantined += scan.bad.len();
     }
     let tmp = dir.join(format!("{TMP_PREFIX}fsck-{:08}", std::process::id()));
-    let mut buf = String::new();
-    for line in &scan.kept {
-        buf.push_str(line);
-        buf.push('\n');
-    }
+    let buf: String = scan.kept.iter().map(|line| format!("{line}\n")).collect();
     let mut f = vfs.create(&tmp)?;
     f.write_all(buf.as_bytes())?;
     f.sync_all()?;
-    vfs.rename(&tmp, &scan.path)?;
+    vfs.rename(&tmp, path)?;
     vfs.sync_dir(dir)?;
     report.repaired_segments += 1;
     Ok(())
@@ -300,10 +269,10 @@ pub fn fsck(dir: impl AsRef<Path>, opts: &FsckOptions) -> io::Result<FsckReport>
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        report.torn_tails += usize::from(scan.torn.is_some());
+        report.torn_tails += usize::from(scan.torn);
         report.corrupt_lines += scan.bad.len();
-        if opts.repair && scan.damaged() {
-            repair_segment(vfs, dir, &scan, &mut report)?;
+        if opts.repair && (scan.torn || !scan.bad.is_empty()) {
+            repair_segment(vfs, dir, seg, &scan, &mut report)?;
         }
     }
     report.cells = index.len();

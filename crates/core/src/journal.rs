@@ -1,12 +1,14 @@
-//! Durable run journal: crash-safe resume for matrix runs.
+//! The cell record format behind resumable runs and the result store.
 //!
-//! A [`RunJournal`] is an append-only JSONL file (hand-rolled, like
-//! `BENCH_hotpath.json` — no serde in the tree) recording the exact
-//! [`SimStats`] of every completed matrix cell, keyed by a *config
-//! fingerprint*. A run handed a journal skips already-journaled cells by
-//! copying their stats back bit-identically and re-runs only missing or
-//! previously-failed cells, so a killed process loses at most the cells
-//! that were in flight.
+//! Every completed cell — of a `figures`/`hyperpredc report` matrix run,
+//! a soak program, or a daemon request — is persisted as one JSONL
+//! record in a [`Store`] directory (hand-rolled, like
+//! `BENCH_hotpath.json` — no serde in the tree), holding the exact
+//! [`SimStats`] keyed by a *config fingerprint*. A run resumed with
+//! `--resume DIR` skips already-recorded cells by copying their stats
+//! back bit-identically and re-runs only missing or previously-failed
+//! cells, so a killed process loses at most the cells that were in
+//! flight.
 //!
 //! # Fingerprints
 //!
@@ -22,10 +24,10 @@
 //! a false match would be wrong numbers, so the key is deliberately
 //! conservative.
 //!
-//! # File format
+//! # Line format
 //!
-//! One JSON object per line. The first line is a `meta` record; every
-//! completed cell appends a `cell` record:
+//! One JSON object per line. Each segment opens with a `meta` record;
+//! every completed cell appends a `cell` record:
 //!
 //! ```text
 //! {"kind":"meta","version":2,"crate_version":"0.1.0"}
@@ -37,9 +39,12 @@
 //! A record whose checksum does not verify is *corruption*, counted and
 //! never served — a flipped bit can no longer masquerade as truth.
 //! Version-1 lines (written before checksums existed) carry no `ck` and
-//! are still accepted, so old journals and stores load unchanged.
+//! are still accepted, so old journals and stores load unchanged; a
+//! single-file journal from before `--resume` took a directory loads as
+//! that directory's only segment (`mkdir run && mv run.jsonl
+//! run/seg-00000000-0000.jsonl`).
 //!
-//! Only successful cells are journaled — failures re-run on resume.
+//! Only successful cells are recorded — failures re-run on resume.
 //! Loading tolerates a torn trailing line (a crash mid-append) and skips
 //! records whose per-line `version` is neither [`JOURNAL_VERSION`] nor
 //! [`LEGACY_JOURNAL_VERSION`]; both simply fall back to re-running the
@@ -47,11 +52,8 @@
 
 use hyperpred_sim::{CacheConfig, MemoryModel, SimStats};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
+use crate::json::{self, escape, Value};
 use crate::pipeline::Model;
 
 pub use crate::store::{CompactStats, Store};
@@ -92,7 +94,7 @@ pub struct JournalEntry<'a> {
     pub stats: &'a SimStats,
 }
 
-/// What happened to one [`RunJournal::record`]/[`Store::put`] call.
+/// What happened to one [`Store::put`] call.
 ///
 /// The fingerprint is a content address: two entries sharing one must
 /// carry identical stats. A mismatch is *never* resolved by overwriting —
@@ -125,7 +127,7 @@ pub struct JournalConflict {
     pub rejected: SimStats,
 }
 
-/// The fingerprint → stats index shared by [`RunJournal`] and [`Store`]:
+/// The fingerprint → stats index behind [`Store`] and `fsck`:
 /// first-write-wins with conflict quarantine instead of the historical
 /// silent last-write-wins.
 #[derive(Debug, Default)]
@@ -187,168 +189,6 @@ impl CellIndex {
     }
 }
 
-/// The durable journal: an in-memory fingerprint → stats map backed by an
-/// append-only JSONL file. Appends are a single `write` + flush under a
-/// mutex, so concurrent workers interleave whole lines, never bytes.
-pub struct RunJournal {
-    path: PathBuf,
-    cells: Mutex<CellIndex>,
-    file: Mutex<File>,
-    /// Corrupt records skipped while loading (see [`RunJournal::corrupt`]).
-    corrupt: usize,
-}
-
-impl std::fmt::Debug for RunJournal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunJournal")
-            .field("path", &self.path)
-            .field("cells", &self.len())
-            .finish()
-    }
-}
-
-impl RunJournal {
-    /// Opens (creating if absent) the journal at `path` and loads every
-    /// valid `cell` record. A torn trailing line or a record with a
-    /// mismatched schema version is skipped, not an error.
-    ///
-    /// # Errors
-    /// Fails only on I/O errors (unreadable file, uncreatable path).
-    pub fn open(path: impl AsRef<Path>) -> io::Result<RunJournal> {
-        let path = path.as_ref().to_path_buf();
-        // Lossy read: a disk-corrupted byte becomes U+FFFD and fails that
-        // line's checksum; it must not make the whole journal unreadable.
-        let existing = match std::fs::read(&path) {
-            Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-            Err(e) => return Err(e),
-        };
-        let mut cells = CellIndex::default();
-        let mut corrupt = 0usize;
-        let lines: Vec<&str> = existing.lines().collect();
-        for (idx, line) in lines.iter().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some((fp, stats)) = parse_cell_line(line) {
-                cells.insert(&fp, stats);
-                continue;
-            }
-            // Expected skips: meta records, a torn *final* line (crash
-            // mid-append), and foreign-version cells (schema change).
-            // Anything else — including a checksum-failing line — is
-            // corruption: skipped, but counted, so drivers can report a
-            // damaged journal instead of silently re-running an
-            // unexpected number of cells.
-            if !is_expected_skip(line, idx + 1 == lines.len()) {
-                corrupt += 1;
-            }
-        }
-        let mut file = OpenOptions::new().create(true).append(true).open(&path)?;
-        if existing.is_empty() {
-            let meta = format!(
-                "{{\"kind\":\"meta\",\"version\":{JOURNAL_VERSION},\"crate_version\":\"{}\"}}\n",
-                env!("CARGO_PKG_VERSION")
-            );
-            file.write_all(meta.as_bytes())?;
-            file.flush()?;
-        }
-        Ok(RunJournal {
-            path,
-            cells: Mutex::new(cells),
-            file: Mutex::new(file),
-            corrupt,
-        })
-    }
-
-    /// The file backing this journal.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of corrupt (unparseable, non-torn-tail) records skipped
-    /// while loading. A nonzero count means the file was damaged — every
-    /// intact record is still used; the damaged cells simply re-run.
-    pub fn corrupt(&self) -> usize {
-        self.corrupt
-    }
-
-    /// Number of journaled cells served by lookups (conflicted keys are
-    /// quarantined and excluded).
-    pub fn len(&self) -> usize {
-        self.cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True when no cells are journaled.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of conflicted fingerprints: keys observed with two
-    /// different stat payloads (see [`JournalConflict`]). Like
-    /// [`RunJournal::corrupt`], nonzero means the file cannot be fully
-    /// trusted — the conflicted cells simply re-run.
-    pub fn conflicts(&self) -> usize {
-        self.cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .conflicts()
-    }
-
-    /// Every detected conflict, sorted by fingerprint.
-    pub fn conflict_report(&self) -> Vec<JournalConflict> {
-        self.cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .conflict_report()
-    }
-
-    /// The journaled stats for `fingerprint`, if any. A conflicted
-    /// fingerprint is never served: the journal cannot know which of the
-    /// competing payloads is right, and a wrong bit-identical "resume"
-    /// is strictly worse than a recompute.
-    pub fn lookup(&self, fingerprint: &str) -> Option<SimStats> {
-        self.cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .lookup(fingerprint)
-    }
-
-    /// Appends one completed cell: a single line written and flushed
-    /// atomically with respect to other appends, then mirrored into the
-    /// in-memory map.
-    ///
-    /// An entry identical to one already journaled is a no-op
-    /// ([`RecordOutcome::Duplicate`]). An entry whose fingerprint is
-    /// already journaled with *different* stats quarantines the key
-    /// ([`RecordOutcome::Conflict`]): the conflicting line is still
-    /// appended — so a plain reload of the file re-detects the conflict —
-    /// but lookups stop serving the key and [`RunJournal::conflicts`]
-    /// counts it. The historical behavior was a silent last-write-wins.
-    ///
-    /// # Errors
-    /// Fails on I/O errors; the in-memory map is updated regardless, so a
-    /// full disk degrades durability, not correctness, of the current run.
-    pub fn record(&self, entry: &JournalEntry<'_>) -> io::Result<RecordOutcome> {
-        let line = cell_line(entry);
-        let outcome = self
-            .cells
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(entry.fingerprint, entry.stats.clone());
-        if outcome == RecordOutcome::Duplicate {
-            return Ok(outcome);
-        }
-        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
-        file.write_all(line.as_bytes())?;
-        file.flush()?;
-        Ok(outcome)
-    }
-}
-
 /// The journal slug for a model slot (`"baseline"` when `None`).
 pub fn model_slug(model: Option<Model>) -> &'static str {
     match model {
@@ -390,17 +230,27 @@ pub(crate) fn parse_memory_slug(slug: &str) -> Option<MemoryModel> {
 /// included), ending in the `ck` checksum suffix: `fnv64` over every
 /// byte before the `,"ck"` marker.
 pub(crate) fn cell_line(entry: &JournalEntry<'_>) -> String {
-    let s = entry.stats;
     let mut line = format!(
         "{{\"kind\":\"cell\",\"version\":{JOURNAL_VERSION},\"fp\":\"{}\",\
-         \"workload\":\"{}\",\"experiment\":\"{}\",\"model\":\"{}\",\
-         \"cycles\":{},\"insts\":{},\"nullified\":{},\"branches\":{},\
-         \"mispredicts\":{},\"loads\":{},\"stores\":{},\
-         \"icache_misses\":{},\"dcache_misses\":{},\"ret\":{}",
+         \"workload\":\"{}\",\"experiment\":\"{}\",\"model\":\"{}\",{}",
         escape(entry.fingerprint),
         escape(entry.workload),
         escape(entry.experiment),
         model_slug(entry.model),
+        stats_json(entry.stats),
+    );
+    let ck = fnv64(line.as_bytes());
+    line.push_str(&format!(",\"ck\":\"{ck:016x}\"}}\n"));
+    line
+}
+
+/// The ten [`SimStats`] members as JSON object members, in the order
+/// both the record and the wire formats write them.
+pub(crate) fn stats_json(s: &SimStats) -> String {
+    format!(
+        "\"cycles\":{},\"insts\":{},\"nullified\":{},\"branches\":{},\
+         \"mispredicts\":{},\"loads\":{},\"stores\":{},\
+         \"icache_misses\":{},\"dcache_misses\":{},\"ret\":{}",
         s.cycles,
         s.insts,
         s.nullified,
@@ -411,10 +261,24 @@ pub(crate) fn cell_line(entry: &JournalEntry<'_>) -> String {
         s.icache_misses,
         s.dcache_misses,
         s.ret,
-    );
-    let ck = fnv64(line.as_bytes());
-    line.push_str(&format!(",\"ck\":\"{ck:016x}\"}}\n"));
-    line
+    )
+}
+
+/// Reads the members [`stats_json`] writes; each must be an integer.
+pub(crate) fn read_stats(v: &Value) -> Result<SimStats, String> {
+    let count = |key| v.req(key, Value::as_u64);
+    Ok(SimStats {
+        cycles: count("cycles")?,
+        insts: count("insts")?,
+        nullified: count("nullified")?,
+        branches: count("branches")?,
+        mispredicts: count("mispredicts")?,
+        loads: count("loads")?,
+        stores: count("stores")?,
+        icache_misses: count("icache_misses")?,
+        dcache_misses: count("dcache_misses")?,
+        ret: v.req("ret", Value::as_i64)?,
+    })
 }
 
 /// The `,"ck":"` marker that opens the checksum suffix. Safe to locate
@@ -422,192 +286,84 @@ pub(crate) fn cell_line(entry: &JournalEntry<'_>) -> String {
 /// so this exact byte sequence cannot occur inside field data.
 const CK_MARKER: &str = ",\"ck\":\"";
 
-/// Verifies the checksum suffix of a current-version line. `None` when
-/// the suffix is missing, malformed, or does not match the bytes.
-fn verify_checksum(trimmed: &str) -> Option<()> {
-    let at = trimmed.rfind(CK_MARKER)?;
-    let hex = trimmed[at + CK_MARKER.len()..].strip_suffix("\"}")?;
-    let ck = u64::from_str_radix(hex, 16).ok()?;
-    if ck == fnv64(&trimmed.as_bytes()[..at]) {
-        Some(())
-    } else {
-        None
-    }
+/// Verifies the checksum suffix of a current-version line: `false` when
+/// the suffix is missing, malformed, or does not match the raw bytes.
+fn verify_checksum(trimmed: &str) -> bool {
+    let Some(at) = trimmed.rfind(CK_MARKER) else {
+        return false;
+    };
+    trimmed[at + CK_MARKER.len()..]
+        .strip_suffix("\"}")
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .is_some_and(|ck| ck == fnv64(&trimmed.as_bytes()[..at]))
 }
 
-/// Parses one line; `None` for meta records, foreign versions, torn,
-/// checksum-failing, or malformed lines (all of which just mean "re-run
-/// that cell" — the caller classifies which are *expected*).
-pub(crate) fn parse_cell_line(line: &str) -> Option<(String, SimStats)> {
+/// How one segment line reads back. Shared by the store's loader,
+/// compaction, and `fsck` (all through
+/// [`scan_segment`](crate::store::scan_segment)), so they agree on what
+/// "damaged" means.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Line {
+    /// A servable cell record: its fingerprint and stats.
+    Cell(String, SimStats),
+    /// An expected skip that survives a rewrite: a meta record, or a cell
+    /// at a foreign schema version.
+    Skip,
+    /// A torn final line (a crash mid-append): expected, dropped on
+    /// rewrite.
+    Torn,
+    /// Anything else — malformed JSON, a missing field, or a
+    /// checksum-failing record. Counted and never served.
+    Corrupt,
+}
+
+/// Classifies one line; `is_last_line` says whether a missing closing
+/// brace is a torn tail (expected) or mid-file damage.
+pub(crate) fn classify_line(line: &str, is_last_line: bool) -> Line {
     let trimmed = line.trim_end();
     if !trimmed.ends_with('}') {
-        return None; // torn trailing line from a crash mid-append
+        return if is_last_line {
+            Line::Torn
+        } else {
+            Line::Corrupt
+        };
     }
-    if field_str(line, "kind")? != "cell" {
-        return None;
-    }
-    match field_u64(line, "version")? {
+    let Ok(record) = json::parse(trimmed) else {
+        return Line::Corrupt;
+    };
+    let kind = record.get("kind").and_then(Value::as_str);
+    let version = record.get("version").and_then(Value::as_u64);
+    match (kind, version) {
+        (Some("meta"), _) => Line::Skip,
         // Pre-checksum records are trusted as-is (nothing better exists).
-        LEGACY_JOURNAL_VERSION => {}
+        (Some("cell"), Some(LEGACY_JOURNAL_VERSION)) => cell_fields(&record),
         // A current-version record must checksum: a line claiming v2
         // with a missing or wrong `ck` is damage, not a foreign schema.
-        JOURNAL_VERSION => verify_checksum(trimmed)?,
-        _ => return None,
+        (Some("cell"), Some(JOURNAL_VERSION)) if verify_checksum(trimmed) => cell_fields(&record),
+        (Some("cell"), Some(v)) if v != JOURNAL_VERSION => Line::Skip,
+        _ => Line::Corrupt,
     }
-    let fp = field_str(line, "fp")?;
-    let stats = SimStats {
-        cycles: field_u64(line, "cycles")?,
-        insts: field_u64(line, "insts")?,
-        nullified: field_u64(line, "nullified")?,
-        branches: field_u64(line, "branches")?,
-        mispredicts: field_u64(line, "mispredicts")?,
-        loads: field_u64(line, "loads")?,
-        stores: field_u64(line, "stores")?,
-        icache_misses: field_u64(line, "icache_misses")?,
-        dcache_misses: field_u64(line, "dcache_misses")?,
-        ret: field_i64(line, "ret")?,
-    };
-    Some((fp, stats))
 }
 
-/// Classifies a line [`parse_cell_line`] rejected: `true` when the skip
-/// is *expected* (meta record, foreign-but-recognized schema version, or
-/// a torn final line from a crash mid-append), `false` when it is
-/// corruption the caller should count. Shared by [`RunJournal::open`],
-/// the store's segment scanner, and `fsck` so all three agree on what
-/// "damaged" means.
-pub(crate) fn is_expected_skip(line: &str, is_last_line: bool) -> bool {
-    let kind = field_str(line, "kind");
-    let is_meta = kind.as_deref() == Some("meta");
-    let is_foreign_cell = kind.as_deref() == Some("cell")
-        && field_u64(line, "version")
-            .is_some_and(|v| v != JOURNAL_VERSION && v != LEGACY_JOURNAL_VERSION);
-    let is_torn_tail = is_last_line && !line.trim_end().ends_with('}');
-    is_meta || is_foreign_cell || is_torn_tail
-}
-
-/// Escapes a string as a JSON string body (RFC 8259): backslash, quote,
-/// and every control character below U+0020 — `\n`, `\r` and `\t` by
-/// name, the rest as `\u00XX`.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn cell_fields(record: &Value) -> Line {
+    match (record.req("fp", Value::as_str), read_stats(record)) {
+        (Ok(fp), Ok(stats)) => Line::Cell(fp.to_string(), stats),
+        _ => Line::Corrupt,
     }
-    out
-}
-
-/// Decodes a JSON string body: every RFC 8259 escape, including UTF-16
-/// surrogate pairs. A lone surrogate or an invalid escape decodes to
-/// U+FFFD. Raw characters pass through unchanged, so records written
-/// before control characters were escaped still read back as written.
-pub(crate) fn unescape(s: &str) -> String {
-    const BAD: char = char::REPLACEMENT_CHARACTER;
-    let mut out = String::with_capacity(s.len());
-    let mut rest = s;
-    while let Some(at) = rest.find('\\') {
-        out.push_str(&rest[..at]);
-        rest = &rest[at + 1..];
-        let Some(c) = rest.chars().next() else {
-            out.push(BAD);
-            break;
-        };
-        rest = &rest[c.len_utf8()..];
-        out.push(match c {
-            '"' | '\\' | '/' => c,
-            'n' => '\n',
-            'r' => '\r',
-            't' => '\t',
-            'b' => '\u{8}',
-            'f' => '\u{c}',
-            'u' => match hex4(rest) {
-                Some(hi @ 0xD800..=0xDBFF) => {
-                    rest = &rest[4..];
-                    match rest.strip_prefix("\\u").and_then(hex4) {
-                        Some(lo @ 0xDC00..=0xDFFF) => {
-                            rest = &rest[6..];
-                            char::from_u32(0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00))
-                                .unwrap_or(BAD)
-                        }
-                        _ => BAD,
-                    }
-                }
-                Some(unit) => {
-                    rest = &rest[4..];
-                    char::from_u32(unit).unwrap_or(BAD)
-                }
-                None => BAD,
-            },
-            _ => BAD,
-        });
-    }
-    out.push_str(rest);
-    out
-}
-
-/// The four hex digits opening `s`, as a UTF-16 code unit.
-fn hex4(s: &str) -> Option<u32> {
-    let digits = s.get(..4)?;
-    if !digits.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u32::from_str_radix(digits, 16).ok()
-}
-
-/// Extracts `"key":"value"` (escape-aware) from a hand-rolled JSON line.
-pub(crate) fn field_str(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    Some(unescape(&rest[..end?]))
-}
-
-/// Extracts an unsigned integer field from a hand-rolled JSON line.
-pub(crate) fn field_u64(json: &str, key: &str) -> Option<u64> {
-    field_number(json, key)?.parse().ok()
-}
-
-/// Extracts a signed integer field from a hand-rolled JSON line.
-pub(crate) fn field_i64(json: &str, key: &str) -> Option<i64> {
-    field_number(json, key)?.parse().ok()
-}
-
-fn field_number<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    Some(&rest[..end])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::unescape;
+
+    /// The servable cell on one line, if any.
+    fn parse_cell_line(line: &str) -> Option<(String, SimStats)> {
+        match classify_line(line, false) {
+            Line::Cell(fp, stats) => Some((fp, stats)),
+            _ => None,
+        }
+    }
 
     fn stats(seed: u64) -> SimStats {
         SimStats {
@@ -682,7 +438,7 @@ mod tests {
 
         let j = open_with("raw-tab", legacy.as_bytes());
         assert_eq!((j.len(), j.corrupt()), (1, 0));
-        assert_eq!(j.lookup("00112233deadbeef"), Some(s));
+        assert_eq!(j.get("00112233deadbeef"), Some(s));
     }
 
     #[test]
@@ -741,7 +497,7 @@ mod tests {
         let content = format!("{line}{flipped}");
         let j = open_with("bitflip", content.as_bytes());
         assert_eq!(j.len(), 1);
-        assert_eq!(j.lookup("aa"), Some(s));
+        assert_eq!(j.get("aa"), Some(s));
         assert_eq!(j.corrupt(), 1);
     }
 
@@ -778,15 +534,13 @@ mod tests {
     fn journal_persists_and_reloads() {
         let dir = std::env::temp_dir().join("hyperpred-journal-unit");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.jsonl");
 
         let s1 = stats(10);
         let s2 = stats(20);
-        {
-            let j = RunJournal::open(&path).unwrap();
+        let path = {
+            let j = Store::open(&dir).unwrap();
             assert!(j.is_empty());
-            j.record(&JournalEntry {
+            j.put(&JournalEntry {
                 fingerprint: "aa",
                 workload: "w1",
                 experiment: "baseline",
@@ -794,7 +548,7 @@ mod tests {
                 stats: &s1,
             })
             .unwrap();
-            j.record(&JournalEntry {
+            j.put(&JournalEntry {
                 fingerprint: "bb",
                 workload: "w2",
                 experiment: "Figure 8",
@@ -802,31 +556,45 @@ mod tests {
                 stats: &s2,
             })
             .unwrap();
-            assert_eq!(j.lookup("aa"), Some(s1.clone()));
-        }
+            assert_eq!(j.get("aa"), Some(s1.clone()));
+            j.segment_path()
+        };
         // Simulate a crash mid-append: a torn half-line at the tail.
         {
             use std::io::Write;
-            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap();
             write!(f, "{{\"kind\":\"cell\",\"version\":1,\"fp\":\"cc\",\"cyc").unwrap();
         }
-        let j = RunJournal::open(&path).unwrap();
+        let j = Store::open(&dir).unwrap();
         assert_eq!(j.len(), 2, "torn tail must be dropped, not fatal");
         assert_eq!(j.corrupt(), 0, "a torn tail is expected, not corruption");
-        assert_eq!(j.lookup("aa"), Some(s1));
-        assert_eq!(j.lookup("bb"), Some(s2));
-        assert_eq!(j.lookup("cc"), None);
+        assert_eq!(j.get("aa"), Some(s1));
+        assert_eq!(j.get("bb"), Some(s2));
+        assert_eq!(j.get("cc"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Writes `lines` to a fresh journal file and opens it.
-    fn open_with(name: &str, content: &[u8]) -> RunJournal {
+    /// Writes `content` as the only segment of a fresh store and opens it.
+    fn open_with(name: &str, content: &[u8]) -> Store {
         let dir = std::env::temp_dir().join(format!("hyperpred-journal-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("run.jsonl");
-        std::fs::write(&path, content).unwrap();
-        RunJournal::open(&path).unwrap()
+        std::fs::write(dir.join("seg-00000000-0000.jsonl"), content).unwrap();
+        Store::open(&dir).unwrap()
+    }
+
+    /// A string field of one JSON line, through the one reader.
+    fn field_str(line: &str, key: &str) -> Option<String> {
+        Some(
+            json::parse(line.trim_end())
+                .ok()?
+                .get(key)?
+                .as_str()?
+                .to_string(),
+        )
     }
 
     #[test]
@@ -856,8 +624,8 @@ mod tests {
         );
         let j = open_with("garbage", content.as_bytes());
         assert_eq!(j.len(), 2, "both intact cells survive");
-        assert_eq!(j.lookup("aa"), Some(s.clone()));
-        assert!(j.lookup("bb").is_some());
+        assert_eq!(j.get("aa"), Some(s.clone()));
+        assert!(j.get("bb").is_some());
         // "not json at all" and the *mid-file* truncated cell are corrupt;
         // the meta record and the foreign-version cell are expected skips.
         assert_eq!(j.corrupt(), 2);
@@ -925,7 +693,7 @@ mod tests {
             for &i in &intact {
                 if i < fps.len() {
                     assert!(
-                        j.lookup(&fps[i]).is_some(),
+                        j.get(&fps[i]).is_some(),
                         "case {case}: intact cell {} must survive corruption",
                         fps[i]
                     );

@@ -43,9 +43,9 @@
 //! [`run_matrix_configured`] layers crash-safety on top of isolation via
 //! a [`MatrixConfig`]:
 //!
-//! * a [`RunJournal`] makes runs *resumable*: every completed cell is
-//!   appended (fingerprint-keyed) to an append-only JSONL file, and a
-//!   later run handed the same journal copies journaled stats back
+//! * a [`Store`] makes runs *resumable*: every completed cell is
+//!   appended (fingerprint-keyed) to the store directory, and a
+//!   later run handed the same store copies recorded stats back
 //!   bit-identically instead of re-running the cell — at any thread
 //!   count, since cells are independent;
 //! * a [`RetryPolicy`] re-runs cells whose failure is plausibly
@@ -61,8 +61,9 @@
 //!   `hyperpredc repro`.
 
 use crate::experiments::{BenchResult, Experiment};
-use crate::journal::{fnv64, model_slug, JournalEntry, RecordOutcome, RunJournal};
+use crate::journal::{fnv64, model_slug, JournalEntry, RecordOutcome};
 use crate::pipeline::{Degradation, FrontOutput, Model, Pipeline, PipelineError};
+use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
 use hyperpred_emu::DecodedModule;
 use hyperpred_ir::Module;
@@ -83,7 +84,7 @@ use std::time::{Duration, Instant};
 /// cascade into every later lock of the shared accounting structures. The
 /// guarded data here (counters, append-only vectors) stays consistent
 /// because each push/increment is atomic with respect to the lock.
-fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_tolerant<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -447,9 +448,9 @@ pub struct MatrixConfig<'a> {
     /// Per-cell, per-attempt wall-clock budget, enforced cooperatively by
     /// the simulator alongside its cycle budget.
     pub deadline: Option<Duration>,
-    /// Durable journal: completed cells are appended, journaled cells are
-    /// reused instead of re-run.
-    pub journal: Option<&'a RunJournal>,
+    /// Durable resume store (`--resume DIR`): completed cells are put,
+    /// stored cells are reused instead of re-run.
+    pub journal: Option<&'a Store>,
     /// Emit a repro bundle for every permanent failure.
     pub triage: Option<&'a TriageConfig>,
     /// Stop claiming cells past this queue index (test/chaos hook: makes
@@ -1178,7 +1179,7 @@ pub fn run_matrix_configured(
         // nothing about it re-runs. A prefill clashing with a distinct held
         // result means the journal (or the cell schedule) is damaged:
         // report it as a failed cell, don't abort the worker.
-        if let Some(stats) = journal.and_then(|(j, fp)| j.lookup(fp)) {
+        if let Some(stats) = journal.and_then(|(j, fp)| j.get(fp)) {
             match fill_slot(slot, stats, wl.name, p.model) {
                 Ok(()) => {
                     journal_hits.fetch_add(1, Ordering::Relaxed);
@@ -1244,7 +1245,7 @@ pub fn run_matrix_configured(
         let Some(((journal, fp), stats)) = journal.zip(slot.get()) else {
             return;
         };
-        let appended = journal.record(&JournalEntry {
+        let appended = journal.put(&JournalEntry {
             fingerprint: fp,
             workload: wl.name,
             experiment: p.experiment,

@@ -1,5 +1,6 @@
 //! Wire protocol and client for the `hyperpredd` compile-and-simulate
-//! service: hand-rolled JSON (like the journal — no serde in the tree), a
+//! service: hand-written JSON bodies read back through the one
+//! tokenizing reader in [`crate::json`] (no serde in the tree), a
 //! minimal HTTP/1.1 reader/writer shared by the daemon and its clients,
 //! and the `bench-load` request generator.
 //!
@@ -16,9 +17,9 @@
 //!   failed, rejected, conflicts, queue depth).
 //! * `GET /healthz` — liveness probe, body `ok`.
 //!
-//! A cell request (`source` is deliberately serialized *last* — every
-//! other key is matched before the one free-text field that could spoof
-//! key patterns):
+//! A cell request. Bodies are tokenized, so key order carries no meaning
+//! and no string value can spoof a key; duplicate keys, trailing bytes,
+//! out-of-range machine parameters and non-integer numbers are `400`s:
 //!
 //! ```text
 //! {"name":"gen-branchy-1","model":"fullpred","issue":8,"branches":1,
@@ -40,7 +41,10 @@
 //! {"status":"rejected","fingerprint":"","error":"queue full (depth 256); retry later"}
 //! ```
 
-use crate::journal::{escape, memory_slug, model_slug, parse_memory_slug, parse_model_slug};
+use crate::journal::{
+    memory_slug, model_slug, parse_memory_slug, parse_model_slug, read_stats, stats_json,
+};
+use crate::json::{self, escape, Value};
 use crate::matrix::CellRequest;
 use crate::pipeline::Model;
 use hyperpred_sim::{MemoryModel, SimStats, DEFAULT_CYCLE_LIMIT};
@@ -54,177 +58,16 @@ use std::time::{Duration, Instant};
 /// memory.
 pub const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-// ---------------------------------------------------------------------------
-// JSON primitives (backslash-aware key search; values use journal escaping).
-// ---------------------------------------------------------------------------
-
-/// Finds the byte offset just past `"key":`, skipping candidate matches
-/// preceded by a backslash (i.e. key text embedded inside an escaped
-/// string value).
-fn find_key(json: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let mut from = 0;
-    while let Some(rel) = json[from..].find(&pat) {
-        let at = from + rel;
-        if at == 0 || json.as_bytes()[at - 1] != b'\\' {
-            return Some(at + pat.len());
-        }
-        from = at + 1;
-    }
-    None
-}
-
-/// Extracts a string field (journal-escaped) from one JSON object.
-pub fn get_str(json: &str, key: &str) -> Option<String> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start().strip_prefix('"')?;
-    let mut end = None;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        if escaped {
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            end = Some(i);
-            break;
-        }
-    }
-    Some(crate::journal::unescape(&rest[..end?]))
-}
-
-fn get_number<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    Some(&rest[..end])
-}
-
-/// Extracts an unsigned integer field.
+/// The unsigned integer member `key` of a JSON object body, if any.
 pub fn get_u64(json: &str, key: &str) -> Option<u64> {
-    get_number(json, key)?.parse().ok()
-}
-
-/// Extracts a signed integer field.
-pub fn get_i64(json: &str, key: &str) -> Option<i64> {
-    get_number(json, key)?.parse().ok()
-}
-
-/// Extracts a `true`/`false` field.
-pub fn get_bool(json: &str, key: &str) -> Option<bool> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start();
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Extracts a flat `[1,-2,...]` integer array field (`[]` is `Some(vec![])`).
-pub fn get_i64_array(json: &str, key: &str) -> Option<Vec<i64>> {
-    let at = find_key(json, key)?;
-    let rest = json[at..].trim_start().strip_prefix('[')?;
-    let end = rest.find(']')?;
-    let body = rest[..end].trim();
-    if body.is_empty() {
-        return Some(Vec::new());
-    }
-    body.split(',').map(|t| t.trim().parse().ok()).collect()
-}
-
-/// Splits the top-level objects out of a JSON array body, tracking brace
-/// depth and string/escape state so braces inside source text never
-/// confuse the split. `body` is everything between the array's `[` and
-/// `]` (exclusive is fine; surrounding whitespace tolerated).
-fn split_objects(body: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let bytes = body.as_bytes();
-    let mut depth = 0usize;
-    let mut start = None;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(&body[s..=i]);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
-/// Locates the body of the array under `key` (between its brackets).
-fn array_body<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let at = find_key(json, key)?;
-    let rest = &json[at..];
-    let open = rest.find('[')?;
-    // Walk to the matching close bracket, honoring strings.
-    let bytes = rest.as_bytes();
-    let mut depth = 0usize;
-    let mut in_str = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_str = true,
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[open + 1..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    json::parse(json).ok()?.get(key)?.as_u64()
 }
 
 // ---------------------------------------------------------------------------
 // Cell request serialization.
 // ---------------------------------------------------------------------------
 
-/// Serializes one request. `source` goes last (see module docs).
+/// Serializes one request.
 pub fn request_to_json(req: &CellRequest) -> String {
     let args: Vec<String> = req.args.iter().map(i64::to_string).collect();
     format!(
@@ -244,24 +87,53 @@ pub fn request_to_json(req: &CellRequest) -> String {
 /// Parses one request object; the error names the first missing or
 /// malformed field (it becomes the daemon's `400` body).
 pub fn parse_request(json: &str) -> Result<CellRequest, String> {
-    let model = get_str(json, "model").ok_or("missing field `model`")?;
+    request_from(&json::parse(json)?)
+}
+
+fn request_from(v: &Value) -> Result<CellRequest, String> {
+    let model = v.req("model", Value::as_str)?;
     // "baseline" names the matrix's denominator slot, not a model a
     // request can ask for.
-    let Some(Some(model)) = parse_model_slug(&model) else {
+    let Some(Some(model)) = parse_model_slug(model) else {
         return Err(format!("unknown model `{model}`"));
     };
-    let memory = get_str(json, "memory").unwrap_or_else(|| "perfect".to_string());
-    let memory = parse_memory_slug(&memory).ok_or_else(|| format!("unknown memory `{memory}`"))?;
+    let memory = v.opt("memory", Value::as_str)?.unwrap_or("perfect");
+    let memory = parse_memory_slug(memory).ok_or_else(|| format!("unknown memory `{memory}`"))?;
+    let u32_field = |key| v.req(key, |n| n.as_u64().and_then(|n| u32::try_from(n).ok()));
+    let args = v.opt("args", |a| {
+        a.as_array()?.iter().map(Value::as_i64).collect()
+    })?;
     Ok(CellRequest {
-        name: get_str(json, "name").unwrap_or_default(),
-        source: get_str(json, "source").ok_or("missing field `source`")?,
-        args: get_i64_array(json, "args").unwrap_or_default(),
+        name: v.opt("name", Value::as_str)?.unwrap_or("").to_string(),
+        source: v.req("source", Value::as_str)?.to_string(),
+        args: args.unwrap_or_default(),
         model,
-        issue: get_u64(json, "issue").ok_or("missing field `issue`")? as u32,
-        branches: get_u64(json, "branches").ok_or("missing field `branches`")? as u32,
+        issue: u32_field("issue")?,
+        branches: u32_field("branches")?,
         memory,
-        max_cycles: get_u64(json, "max_cycles").unwrap_or(DEFAULT_CYCLE_LIMIT),
+        max_cycles: v
+            .opt("max_cycles", Value::as_u64)?
+            .unwrap_or(DEFAULT_CYCLE_LIMIT),
     })
+}
+
+/// The object elements of the array member `key`, each read by `read`;
+/// an error names the failing element's index.
+fn array_of<T>(
+    json: &str,
+    key: &str,
+    what: &str,
+    read: impl Fn(&Value) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let body = json::parse(json)?;
+    let items = body.req(key, Value::as_array)?;
+    let object = |item: &Value| match item {
+        Value::Object(_) => read(item),
+        _ => Err("not an object".to_string()),
+    };
+    let each = items.iter().enumerate();
+    each.map(|(i, item)| object(item).map_err(|e| format!("{what} {i}: {e}")))
+        .collect()
 }
 
 /// Serializes a batch body: `{"cells":[...]}`.
@@ -272,12 +144,7 @@ pub fn batch_to_json(reqs: &[CellRequest]) -> String {
 
 /// Parses a batch body into its requests, in order.
 pub fn parse_batch(json: &str) -> Result<Vec<CellRequest>, String> {
-    let body = array_body(json, "cells").ok_or("missing array `cells`")?;
-    split_objects(body)
-        .into_iter()
-        .enumerate()
-        .map(|(i, obj)| parse_request(obj).map_err(|e| format!("cell {i}: {e}")))
-        .collect()
+    array_of(json, "cells", "cell", request_from)
 }
 
 // ---------------------------------------------------------------------------
@@ -312,16 +179,12 @@ impl CellStatus {
         }
     }
 
-    /// Parses the wire slug.
+    /// Parses the wire slug (the inverse of [`CellStatus::as_str`]).
     pub fn parse(s: &str) -> Option<CellStatus> {
-        match s {
-            "hit" => Some(CellStatus::Hit),
-            "computed" => Some(CellStatus::Computed),
-            "failed" => Some(CellStatus::Failed),
-            "rejected" => Some(CellStatus::Rejected),
-            "conflict" => Some(CellStatus::Conflict),
-            _ => None,
-        }
+        use CellStatus::*;
+        [Hit, Computed, Failed, Rejected, Conflict]
+            .into_iter()
+            .find(|status| status.as_str() == s)
     }
 }
 
@@ -346,6 +209,19 @@ pub struct CellResponse {
 }
 
 impl CellResponse {
+    /// An answer carrying only a status, a fingerprint and an error.
+    fn bare(status: CellStatus, fingerprint: String, error: Option<String>) -> Self {
+        CellResponse {
+            status,
+            fingerprint,
+            stats: None,
+            degraded: false,
+            stage: None,
+            signature: None,
+            error,
+        }
+    }
+
     /// A successful answer (`hit` or `computed`).
     pub fn served(
         status: CellStatus,
@@ -354,53 +230,30 @@ impl CellResponse {
         degraded: bool,
     ) -> Self {
         CellResponse {
-            status,
-            fingerprint,
             stats: Some(stats),
             degraded,
-            stage: None,
-            signature: None,
-            error: None,
+            ..Self::bare(status, fingerprint, None)
         }
     }
 
     /// A failure answer.
     pub fn failed(fingerprint: String, stage: String, signature: String, error: String) -> Self {
         CellResponse {
-            status: CellStatus::Failed,
-            fingerprint,
-            stats: None,
-            degraded: false,
             stage: Some(stage),
             signature: Some(signature),
-            error: Some(error),
+            ..Self::bare(CellStatus::Failed, fingerprint, Some(error))
         }
     }
 
     /// The typed backpressure answer.
     pub fn rejected(error: String) -> Self {
-        CellResponse {
-            status: CellStatus::Rejected,
-            fingerprint: String::new(),
-            stats: None,
-            degraded: false,
-            stage: None,
-            signature: None,
-            error: Some(error),
-        }
+        Self::bare(CellStatus::Rejected, String::new(), Some(error))
     }
 
     /// The conflicted-key refusal.
     pub fn conflict(fingerprint: String) -> Self {
-        CellResponse {
-            status: CellStatus::Conflict,
-            fingerprint,
-            stats: None,
-            degraded: false,
-            stage: None,
-            signature: None,
-            error: Some("fingerprint conflict: key quarantined".to_string()),
-        }
+        let error = "fingerprint conflict: key quarantined".to_string();
+        Self::bare(CellStatus::Conflict, fingerprint, Some(error))
     }
 }
 
@@ -413,20 +266,9 @@ pub fn response_to_json(resp: &CellResponse) -> String {
     );
     if let Some(s) = &resp.stats {
         out.push_str(&format!(
-            ",\"degraded\":{},\"cycles\":{},\"insts\":{},\"nullified\":{},\
-             \"branches\":{},\"mispredicts\":{},\"loads\":{},\"stores\":{},\
-             \"icache_misses\":{},\"dcache_misses\":{},\"ret\":{}",
+            ",\"degraded\":{},{}",
             resp.degraded,
-            s.cycles,
-            s.insts,
-            s.nullified,
-            s.branches,
-            s.mispredicts,
-            s.loads,
-            s.stores,
-            s.icache_misses,
-            s.dcache_misses,
-            s.ret,
+            stats_json(s)
         ));
     }
     if let Some(stage) = &resp.stage {
@@ -442,31 +284,29 @@ pub fn response_to_json(resp: &CellResponse) -> String {
     out
 }
 
-/// Parses one response object.
+/// Parses one response object. A `hit`/`computed` answer must carry
+/// every [`SimStats`] field as an integer.
 pub fn parse_response(json: &str) -> Result<CellResponse, String> {
-    let status_slug = get_str(json, "status").ok_or("missing field `status`")?;
+    response_from(&json::parse(json)?)
+}
+
+fn response_from(v: &Value) -> Result<CellResponse, String> {
+    let status_slug = v.req("status", Value::as_str)?;
     let status =
-        CellStatus::parse(&status_slug).ok_or_else(|| format!("unknown status `{status_slug}`"))?;
-    let stats = get_u64(json, "cycles").map(|cycles| SimStats {
-        cycles,
-        insts: get_u64(json, "insts").unwrap_or(0),
-        nullified: get_u64(json, "nullified").unwrap_or(0),
-        branches: get_u64(json, "branches").unwrap_or(0),
-        mispredicts: get_u64(json, "mispredicts").unwrap_or(0),
-        loads: get_u64(json, "loads").unwrap_or(0),
-        stores: get_u64(json, "stores").unwrap_or(0),
-        icache_misses: get_u64(json, "icache_misses").unwrap_or(0),
-        dcache_misses: get_u64(json, "dcache_misses").unwrap_or(0),
-        ret: get_i64(json, "ret").unwrap_or(0),
-    });
+        CellStatus::parse(status_slug).ok_or_else(|| format!("unknown status `{status_slug}`"))?;
+    let stats = match status {
+        CellStatus::Hit | CellStatus::Computed => Some(read_stats(v)?),
+        _ => None,
+    };
+    let text = |key| v.opt(key, Value::as_str).map(|s| s.map(str::to_string));
     Ok(CellResponse {
         status,
-        fingerprint: get_str(json, "fingerprint").unwrap_or_default(),
+        fingerprint: text("fingerprint")?.unwrap_or_default(),
         stats,
-        degraded: get_bool(json, "degraded").unwrap_or(false),
-        stage: get_str(json, "stage"),
-        signature: get_str(json, "signature"),
-        error: get_str(json, "error"),
+        degraded: v.opt("degraded", Value::as_bool)?.unwrap_or(false),
+        stage: text("stage")?,
+        signature: text("signature")?,
+        error: text("error")?,
     })
 }
 
@@ -478,12 +318,7 @@ pub fn batch_response_to_json(resps: &[CellResponse]) -> String {
 
 /// Parses a batch response into its per-cell answers, in order.
 pub fn parse_batch_response(json: &str) -> Result<Vec<CellResponse>, String> {
-    let body = array_body(json, "results").ok_or("missing array `results`")?;
-    split_objects(body)
-        .into_iter()
-        .enumerate()
-        .map(|(i, obj)| parse_response(obj).map_err(|e| format!("result {i}: {e}")))
-        .collect()
+    array_of(json, "results", "result", response_from)
 }
 
 // ---------------------------------------------------------------------------
@@ -1052,6 +887,86 @@ mod tests {
         let no_issue = "{\"model\":\"fullpred\",\"source\":\"int main(){return 0;}\"}";
         assert!(parse_request(no_issue).unwrap_err().contains("issue"));
         assert!(parse_batch("{\"cells\":\"nope\"}").is_err());
+    }
+
+    /// Machine parameters are read exactly: a `u32` overflow or a
+    /// fraction is a `400`, never some other cell.
+    #[test]
+    fn out_of_range_and_fractional_machine_params_are_errors() {
+        let json = request_to_json(&request());
+        for (from, to) in [
+            ("\"issue\":8", "\"issue\":4294967304"),
+            ("\"issue\":8", "\"issue\":8.9"),
+            ("\"issue\":8", "\"issue\":-8"),
+            ("\"branches\":1", "\"branches\":4294967297"),
+            ("\"max_cycles\":1000000", "\"max_cycles\":1e6"),
+        ] {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json);
+            let err = parse_request(&bad).expect_err(&bad);
+            let key = from.split('"').nth(1).expect("key");
+            assert!(err.contains(key), "{err}");
+        }
+    }
+
+    #[test]
+    fn whitespace_between_tokens_is_tolerated() {
+        let json = "{\"model\" : \"fullpred\", \"issue\" :8 ,\"branches\": 1,\n\
+                    \t\"args\" : [ 1 , -2 ] , \"source\" : \"int main() { return 1 + 2; }\",\
+                    \"name\":\"gen-branchy-1\", \"max_cycles\": 1000000 }";
+        assert_eq!(parse_request(json).expect("parses"), request());
+    }
+
+    #[test]
+    fn trailing_bytes_and_duplicate_keys_are_errors() {
+        let json = request_to_json(&request());
+        assert!(parse_request(&format!("{json}garbage")).is_err());
+        let dup = json.replacen("{", "{\"issue\":4,", 1);
+        let err = parse_request(&dup).expect_err("duplicate key");
+        assert!(err.contains("duplicate key `issue`"), "{err}");
+        let err = parse_response("{\"status\":\"hit\",\"status\":\"failed\"}").unwrap_err();
+        assert!(err.contains("duplicate key `status`"), "{err}");
+    }
+
+    #[test]
+    fn served_responses_need_every_stat_as_an_integer() {
+        let json = response_to_json(&CellResponse::served(
+            CellStatus::Hit,
+            "aa".to_string(),
+            stats(7),
+            false,
+        ));
+        for key in [
+            "cycles",
+            "insts",
+            "nullified",
+            "branches",
+            "mispredicts",
+            "loads",
+            "stores",
+            "icache_misses",
+            "dcache_misses",
+            "ret",
+        ] {
+            let at = json.find(&format!(",\"{key}\":")).expect("field present");
+            let end = json[at + 1..].find([',', '}']).expect("field end") + at + 1;
+            let missing = format!("{}{}", &json[..at], &json[end..]);
+            let err = parse_response(&missing).expect_err(&missing);
+            assert!(err.contains(&format!("missing field `{key}`")), "{err}");
+        }
+        let fractional = json.replacen("\"cycles\":7", "\"cycles\":12.5", 1);
+        let err = parse_response(&fractional).expect_err("fractional cycles");
+        assert!(err.contains("bad field `cycles`"), "{err}");
+    }
+
+    #[test]
+    fn non_object_batch_elements_are_errors_naming_their_index() {
+        let req = request_to_json(&request());
+        let err = parse_batch(&format!("{{\"cells\":[{req},1,\"x\",{req}]}}")).unwrap_err();
+        assert!(err.contains("cell 1: not an object"), "{err}");
+        let resp = response_to_json(&CellResponse::conflict("dd".to_string()));
+        let err = parse_batch_response(&format!("{{\"results\":[{resp},[]]}}")).unwrap_err();
+        assert!(err.contains("result 1: not an object"), "{err}");
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Content-addressed result store: the multi-writer generalization of
-//! [`RunJournal`](crate::journal::RunJournal).
+//! Content-addressed result store: the one durable home of cell records,
+//! behind `--resume DIR` (matrix runs and soak) and the daemon alike.
 //!
 //! A [`Store`] is a *directory* of append-only JSONL segments rather than
 //! a single file. Every writer — a thread holding its own `Store` handle,
 //! or a whole separate process — owns a private segment created with
 //! `O_EXCL` (`create_new`), so concurrent writers can never interleave
 //! bytes no matter how they are scheduled or killed. Reads merge every
-//! segment in the directory through the same first-write-wins /
-//! conflict-quarantine index the journal uses, so the merged view of N
+//! segment in the directory through one first-write-wins /
+//! conflict-quarantine index, so the merged view of N
 //! concurrent writers is bit-identical to a serial run (and any true
 //! fingerprint conflict is detected and refused, never arbitrated).
 //!
@@ -23,11 +23,13 @@
 //!   quarantine/               # written only by `hyperpredc fsck --repair`
 //! ```
 //!
-//! Each segment uses the exact journal line format (meta line first, one
-//! checksummed `cell` record per line), so a segment *is* a valid
-//! `RunJournal` file and inherits its crash tolerance: a torn trailing
+//! Each segment uses the [`journal`](crate::journal) line format (meta
+//! line first, one checksummed `cell` record per line), and every reader
+//! — [`Store::open`], [`Store::refresh`], [`Store::compact`] and `fsck`
+//! — classifies lines through the one [`scan_segment`]: a torn trailing
 //! line is expected damage, mid-file garbage or a checksum-failing line
-//! is counted as corruption and never served.
+//! is counted as corruption and never served. A single-file journal
+//! written before `--resume` took a directory is a valid segment as-is.
 //!
 //! # Durability
 //!
@@ -68,13 +70,14 @@ use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::journal::{
-    cell_line, is_expected_skip, parse_cell_line, CellIndex, JournalConflict, JournalEntry,
-    RecordOutcome, JOURNAL_VERSION,
+    cell_line, classify_line, CellIndex, JournalConflict, JournalEntry, Line, RecordOutcome,
+    JOURNAL_VERSION,
 };
+use crate::matrix::lock_tolerant;
 use crate::vfs::{Vfs, VfsFile};
 
 /// When segment appends are fsynced. Flushing (userspace → kernel)
@@ -127,7 +130,7 @@ impl Default for StoreConfig {
 }
 
 /// What a [`Store::compact`] run did, for logs and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactStats {
     /// Segments merged (and deleted) by this compaction.
     pub segments_merged: usize,
@@ -188,39 +191,23 @@ pub(crate) fn is_segment_name(name: &str) -> bool {
 /// name so every reader merges in the same deterministic order (which
 /// fixes the `kept`/`rejected` roles of a conflict).
 fn segment_paths(vfs: &Vfs, dir: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut segs = Vec::new();
-    for path in vfs.read_dir_paths(dir)? {
-        let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-            continue;
-        };
-        if is_segment_name(&name) {
-            segs.push(path);
-        }
-    }
+    let mut segs = vfs.read_dir_paths(dir)?;
+    segs.retain(|p| {
+        p.file_name()
+            .is_some_and(|n| is_segment_name(&n.to_string_lossy()))
+    });
     segs.sort();
     Ok(segs)
 }
 
-/// Classifies the unparseable lines of one segment exactly like
-/// `RunJournal::open`: meta records, foreign-version cells, and a torn
-/// *final* line are expected; anything else — including a
-/// checksum-failing line — counts as corruption.
-pub(crate) fn scan_segment(
-    content: &str,
-    mut on_cell: impl FnMut(&str, String, SimStats),
-    corrupt: &mut usize,
-) {
+/// The one segment scanner: hands every non-blank line of `content` to
+/// `on_line` with its [`Line`] class (a missing closing brace is a torn
+/// tail only on the final line).
+pub(crate) fn scan_segment(content: &str, mut on_line: impl FnMut(&str, Line)) {
     let lines: Vec<&str> = content.lines().collect();
     for (idx, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some((fp, stats)) = parse_cell_line(line) {
-            on_cell(line, fp, stats);
-            continue;
-        }
-        if !is_expected_skip(line, idx + 1 == lines.len()) {
-            *corrupt += 1;
+        if !line.trim().is_empty() {
+            on_line(line, classify_line(line, idx + 1 == lines.len()));
         }
     }
 }
@@ -237,13 +224,13 @@ fn load_dir(vfs: &Vfs, dir: &Path) -> io::Result<(CellIndex, usize)> {
             Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
             Err(e) => return Err(e),
         };
-        scan_segment(
-            &content,
-            |_line, fp, stats| {
+        scan_segment(&content, |_, line| match line {
+            Line::Cell(fp, stats) => {
                 index.insert(&fp, stats);
-            },
-            &mut corrupt,
-        );
+            }
+            Line::Corrupt => corrupt += 1,
+            Line::Skip | Line::Torn => {}
+        });
     }
     Ok((index, corrupt))
 }
@@ -378,7 +365,7 @@ impl Store {
     ///
     /// # Errors
     /// Fails only on I/O errors; damaged segment *contents* are tolerated
-    /// and counted (see [`Store::corrupt`]), exactly like the journal.
+    /// and counted (see [`Store::corrupt`]).
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Store> {
         Store::open_with(dir, StoreConfig::default())
     }
@@ -407,19 +394,12 @@ impl Store {
 
     /// The segment file this handle appends to.
     pub fn segment_path(&self) -> PathBuf {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .path
-            .clone()
+        lock_tolerant(&self.writer).path.clone()
     }
 
     /// Number of keys served by [`Store::get`] (conflicted keys excluded).
     pub fn len(&self) -> usize {
-        self.index
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        lock_tolerant(&self.index).len()
     }
 
     /// True when no keys are stored.
@@ -435,39 +415,26 @@ impl Store {
 
     /// Number of conflicted fingerprints (see [`JournalConflict`]).
     pub fn conflicts(&self) -> usize {
-        self.index
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .conflicts()
+        lock_tolerant(&self.index).conflicts()
     }
 
     /// Every detected conflict, sorted by fingerprint.
     pub fn conflict_report(&self) -> Vec<JournalConflict> {
-        self.index
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .conflict_report()
+        lock_tolerant(&self.index).conflict_report()
     }
 
     /// True when `fingerprint` has been quarantined by a conflict.
     pub fn is_conflicted(&self, fingerprint: &str) -> bool {
-        self.index
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .is_conflicted(fingerprint)
+        lock_tolerant(&self.index).is_conflicted(fingerprint)
     }
 
     /// The stored stats for `fingerprint`, if any. A conflicted key is
     /// never served.
     pub fn get(&self, fingerprint: &str) -> Option<SimStats> {
-        self.index
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .lookup(fingerprint)
+        lock_tolerant(&self.index).lookup(fingerprint)
     }
 
-    /// Stores one completed cell: classified against the index exactly
-    /// like [`RunJournal::record`](crate::journal::RunJournal::record)
+    /// Stores one completed cell: classified against the index
     /// (duplicate → no write, conflict → quarantined but still appended
     /// so a reload re-detects it), then appended to this handle's private
     /// segment, flushed, and fsynced per the configured [`SyncPolicy`].
@@ -477,15 +444,11 @@ impl Store {
     /// disk degrades durability, not correctness, of the current process.
     pub fn put(&self, entry: &JournalEntry<'_>) -> io::Result<RecordOutcome> {
         let line = cell_line(entry);
-        let outcome = self
-            .index
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(entry.fingerprint, entry.stats.clone());
+        let outcome = lock_tolerant(&self.index).insert(entry.fingerprint, entry.stats.clone());
         if outcome == RecordOutcome::Duplicate {
             return Ok(outcome);
         }
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut writer = lock_tolerant(&self.writer);
         writer.file.write_all(line.as_bytes())?;
         writer.file.flush()?;
         writer.unsynced += 1;
@@ -506,7 +469,7 @@ impl Store {
     /// drivers should call it at checkpoint boundaries under
     /// [`SyncPolicy::Never`]/`EveryN`.
     pub fn sync(&self) -> io::Result<()> {
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut writer = lock_tolerant(&self.writer);
         writer.file.sync_all()?;
         writer.unsynced = 0;
         Ok(())
@@ -520,7 +483,7 @@ impl Store {
     /// refresh.
     pub fn refresh(&self) -> io::Result<()> {
         let (index, corrupt) = load_dir(&self.cfg.vfs, &self.dir)?;
-        *self.index.lock().unwrap_or_else(PoisonError::into_inner) = index;
+        *lock_tolerant(&self.index) = index;
         self.corrupt.store(corrupt, Ordering::Relaxed);
         Ok(())
     }
@@ -549,42 +512,37 @@ impl Store {
         let _lock = CompactLock::acquire(vfs, &self.dir, self.cfg.lock_stale_after)?;
         // Hold the writer lock across the whole merge: our own appends
         // pause, and the rotation below swaps the handle atomically.
-        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut writer = lock_tolerant(&self.writer);
 
         let segs = segment_paths(vfs, &self.dir)?;
-        let mut kept_lines: Vec<String> = Vec::new();
+        let mut merged = meta_line();
         // Every distinct payload seen per fingerprint, in merge order.
         // One entry → live cell; several → a conflict whose every side
         // is preserved verbatim.
         let mut seen: HashMap<String, Vec<SimStats>> = HashMap::new();
         let mut stats = CompactStats {
             segments_merged: segs.len(),
-            lines_in: 0,
-            lines_out: 0,
-            duplicates_dropped: 0,
-            corrupt_dropped: 0,
-            conflicts_kept: 0,
+            ..CompactStats::default()
         };
         for seg in &segs {
             let content = vfs.read_to_string(seg)?;
-            let mut corrupt = 0usize;
-            scan_segment(
-                &content,
-                |line, fp, cell_stats| {
+            scan_segment(&content, |line, class| match class {
+                Line::Cell(fp, cell_stats) => {
                     stats.lines_in += 1;
                     let payloads = seen.entry(fp).or_default();
                     if payloads.contains(&cell_stats) {
                         stats.duplicates_dropped += 1;
                     } else {
                         payloads.push(cell_stats);
-                        kept_lines.push(format!("{line}\n"));
+                        merged.push_str(line);
+                        merged.push('\n');
+                        stats.lines_out += 1;
                     }
-                },
-                &mut corrupt,
-            );
-            stats.corrupt_dropped += corrupt;
+                }
+                Line::Corrupt => stats.corrupt_dropped += 1,
+                Line::Skip | Line::Torn => {}
+            });
         }
-        stats.lines_out = kept_lines.len();
         stats.conflicts_kept = seen.values().filter(|p| p.len() > 1).count();
 
         // Write the merge to a scratch name the segment globber never
@@ -592,15 +550,9 @@ impl Store {
         let tmp = self
             .dir
             .join(format!("{TMP_PREFIX}compact-{:08}", std::process::id()));
-        {
-            let mut buf = meta_line();
-            for line in &kept_lines {
-                buf.push_str(line);
-            }
-            let mut f = vfs.create(&tmp)?;
-            f.write_all(buf.as_bytes())?;
-            f.sync_all()?;
-        }
+        let mut f = vfs.create(&tmp)?;
+        f.write_all(merged.as_bytes())?;
+        f.sync_all()?;
         // Rotate this handle onto a fresh private segment *before* any
         // rename or delete: from here on, no failure can leave the
         // handle appending into a deleted file.

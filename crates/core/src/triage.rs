@@ -40,9 +40,8 @@
 //! budget's worth of simulation, and a smaller program usually stops
 //! tripping the budget anyway.
 
-use crate::journal::{
-    escape, field_str, field_u64, memory_slug, model_slug, parse_memory_slug, parse_model_slug,
-};
+use crate::journal::{memory_slug, model_slug, parse_memory_slug, parse_model_slug};
+use crate::json::{self, escape, Value};
 use crate::matrix::{
     exec_cell, fresh_compile, CellRun, CompiledUnit, FailurePayload, FailureStage, RetryPolicy,
 };
@@ -501,51 +500,52 @@ fn cell_json(cell: &ReproCell, payload_text: &str) -> String {
     )
 }
 
-fn parse_stage(s: &str) -> FailureStage {
-    match s {
-        "compile" => FailureStage::Compile,
-        "emulate" => FailureStage::Emulate,
-        _ => FailureStage::Simulate,
-    }
-}
-
 fn parse_cell_json(json: &str) -> Result<ReproCell, String> {
-    let version = field_u64(json, "version").ok_or("cell.json: missing version")?;
+    let v = &json::parse(json)?;
+    let version = v.req("version", Value::as_u64)?;
     if version != BUNDLE_VERSION {
         return Err(format!(
-            "cell.json: bundle version {version} != supported {BUNDLE_VERSION}"
+            "bundle version {version} != supported {BUNDLE_VERSION}"
         ));
     }
-    let need = |key: &str| field_str(json, key).ok_or(format!("cell.json: missing {key}"));
+    let need = |key| v.req(key, Value::as_str).map(str::to_string);
+    let u32_of = |n: &Value| n.as_u64().and_then(|n| u32::try_from(n).ok());
     let args_text = need("args")?;
     let args = args_text
         .split(',')
         .filter(|s| !s.is_empty())
-        .map(|s| s.parse().map_err(|_| format!("cell.json: bad arg `{s}`")))
+        .map(|s| s.parse().map_err(|_| format!("bad arg `{s}`")))
         .collect::<Result<Vec<i64>, String>>()?;
     let memory = need("memory")?;
-    let memory = parse_memory_slug(&memory)
-        .ok_or_else(|| format!("cell.json: unknown memory `{memory}`"))?;
+    let memory = parse_memory_slug(&memory).ok_or_else(|| format!("unknown memory `{memory}`"))?;
     let model = need("model")?;
-    let model =
-        parse_model_slug(&model).ok_or_else(|| format!("cell.json: unknown model `{model}`"))?;
+    let model = parse_model_slug(&model).ok_or_else(|| format!("unknown model `{model}`"))?;
+    let stage = match need("stage")?.as_str() {
+        "compile" => FailureStage::Compile,
+        "emulate" => FailureStage::Emulate,
+        "simulate" => FailureStage::Simulate,
+        other => return Err(format!("unknown stage `{other}`")),
+    };
     Ok(ReproCell {
         workload: need("workload")?,
         args,
         experiment: need("experiment")?,
         model,
-        issue: field_u64(json, "issue").ok_or("cell.json: missing issue")? as u32,
-        branches: field_u64(json, "branches").ok_or("cell.json: missing branches")? as u32,
+        issue: v.req("issue", u32_of)?,
+        branches: v.req("branches", u32_of)?,
         memory,
-        max_cycles: field_u64(json, "max_cycles").ok_or("cell.json: missing max_cycles")?,
-        fault_injection: json.contains("\"fault_injection\": true"),
+        max_cycles: v.req("max_cycles", Value::as_u64)?,
+        fault_injection: v.opt("fault_injection", Value::as_bool)?.unwrap_or(false),
         // "none", a garbled value, and a missing key (pre-soak bundles)
         // all read back as no sabotage.
-        sabotage: field_str(json, "sabotage").and_then(|s| s.parse().ok()),
-        stage: parse_stage(&need("stage")?),
+        sabotage: v
+            .get("sabotage")
+            .and_then(Value::as_str)
+            .and_then(|s| s.parse().ok()),
+        stage,
         signature: need("signature")?,
         fingerprint: need("fingerprint")?,
-        attempts: field_u64(json, "attempts").unwrap_or(1) as u32,
+        attempts: v.opt("attempts", u32_of)?.unwrap_or(1),
     })
 }
 
@@ -650,7 +650,7 @@ pub fn load_bundle(dir: impl AsRef<Path>) -> Result<Bundle, String> {
     let dir = dir.as_ref().to_path_buf();
     let json = std::fs::read_to_string(dir.join("cell.json"))
         .map_err(|e| format!("{}: cannot read cell.json: {e}", dir.display()))?;
-    let cell = parse_cell_json(&json)?;
+    let cell = parse_cell_json(&json).map_err(|e| format!("cell.json: {e}"))?;
     let source = std::fs::read_to_string(dir.join("workload.c"))
         .map_err(|e| format!("{}: cannot read workload.c: {e}", dir.display()))?;
     Ok(Bundle { dir, cell, source })
@@ -735,6 +735,28 @@ mod tests {
         let odd = json.replace("\"model\": \"fullpred\"", "\"model\": \"predicated\"");
         let err = parse_cell_json(&odd).expect_err("unknown model must not load as baseline");
         assert!(err.contains("unknown model `predicated`"), "{err}");
+        let odd = json.replace("\"stage\": \"compile\"", "\"stage\": \"link\"");
+        let err = parse_cell_json(&odd).expect_err("unknown stage must not load as simulate");
+        assert!(err.contains("unknown stage `link`"), "{err}");
+    }
+
+    #[test]
+    fn machine_params_and_flags_are_read_exactly() {
+        let json = cell_json(&cell("panic: boom"), "panic: boom");
+        for (from, to) in [
+            ("\"issue\": 8", "\"issue\": 4294967304"),
+            ("\"branches\": 1", "\"branches\": 1.5"),
+            ("\"attempts\": 2", "\"attempts\": 4294967298"),
+            ("\"fault_injection\": true", "\"fault_injection\": 1"),
+        ] {
+            let bad = json.replace(from, to);
+            assert_ne!(bad, json);
+            let key = from.split('"').nth(1).expect("key");
+            let err = parse_cell_json(&bad).expect_err(&bad);
+            assert!(err.contains(key), "{err}");
+        }
+        let spaced = json.replace("\"fault_injection\": true", "\"fault_injection\" :true");
+        assert!(parse_cell_json(&spaced).expect("parses").fault_injection);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! reused.
 
 use hyperpred::{
-    run_matrix_configured, Experiment, FailurePolicy, MatrixConfig, MatrixRun, Pipeline, RunJournal,
+    run_matrix_configured, Experiment, FailurePolicy, MatrixConfig, MatrixRun, Pipeline, Store,
 };
 use hyperpred_workloads::Workload;
 use std::path::PathBuf;
@@ -64,7 +64,7 @@ fn assert_bit_identical(got: &MatrixRun, want: &MatrixRun) {
 #[test]
 fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     let dir = tmpdir("journal-resume");
-    let path = dir.join("run.jsonl");
+    let path = dir.join("run");
     let exps = [Experiment::fig8(), Experiment::fig10()];
     let wls = workloads();
     let pipe = Pipeline::default();
@@ -83,7 +83,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
 
     // Phase 1: journal at one thread, killed after 5 claimed cells.
     let first = {
-        let journal = RunJournal::open(&path).expect("open journal");
+        let journal = Store::open(&path).expect("open journal");
         let run = run_matrix_configured(
             &exps,
             &wls,
@@ -109,7 +109,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
     // Phase 2: resume the same journal at 8 threads; journaled cells are
     // copied back, the rest run fresh, and the merged result is
     // bit-identical to the uninterrupted serial reference.
-    let journal = RunJournal::open(&path).expect("reopen journal");
+    let journal = Store::open(&path).expect("reopen journal");
     let resumed = run_matrix_configured(
         &exps,
         &wls,
@@ -131,7 +131,7 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
 
     // Phase 3: a third run finds every cell journaled and simulates
     // nothing at all.
-    let journal = RunJournal::open(&path).expect("reopen journal again");
+    let journal = Store::open(&path).expect("reopen journal again");
     let total_cells = wls.len() * (1 + 3 * exps.len());
     assert_eq!(journal.len(), total_cells);
     let replayed = run_matrix_configured(
@@ -157,13 +157,13 @@ fn interrupted_run_resumes_bit_identically_across_thread_counts() {
 #[test]
 fn changed_workload_invalidates_stale_journal_entries() {
     let dir = tmpdir("journal-stale");
-    let path = dir.join("run.jsonl");
+    let path = dir.join("run");
     let exps = [Experiment::fig8()];
     let pipe = Pipeline::default();
 
     // Journal a complete run of the original workloads.
     {
-        let journal = RunJournal::open(&path).expect("open journal");
+        let journal = Store::open(&path).expect("open journal");
         let run = run_matrix_configured(
             &exps,
             &workloads(),
@@ -194,7 +194,7 @@ fn changed_workload_invalidates_stale_journal_entries() {
         },
     );
 
-    let journal = RunJournal::open(&path).expect("reopen journal");
+    let journal = Store::open(&path).expect("reopen journal");
     let run = run_matrix_configured(
         &exps,
         &changed,
