@@ -58,7 +58,7 @@ pub(crate) fn flaky_should_panic() -> bool {
 
 /// Function-name marker for the result-divergence fixture. The marker is
 /// a *function name* (not a comment) so it survives lowering into the IR:
-/// [`Pipeline::finish`](crate::Pipeline::finish) recognizes it in the
+/// [`Pipeline::schedule`](crate::Pipeline::schedule) recognizes it in the
 /// compiled module under the full-predication model and skews `main`'s
 /// return value, standing in for a model-specific miscompile.
 pub const DIVERGE_MARKER: &str = "__hyperpred_fault_diverge__";

@@ -69,7 +69,8 @@ pub use matrix::{
     MAX_REQUEST_ISSUE,
 };
 pub use pipeline::{
-    compile_model, evaluate, speedup, Degradation, LintError, Model, Pipeline, PipelineError, Stage,
+    compile_model, evaluate, speedup, Degradation, Formed, LintError, Model, Pipeline,
+    PipelineError, Stage,
 };
 pub use report::{format_table, summarize_run, Row, RunSummary};
 pub use soak::{run_soak, SoakConfig, SoakFailure, SoakReport, SOAK_EXPERIMENT};

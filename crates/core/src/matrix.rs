@@ -14,7 +14,9 @@
 //!   speedup bar — is re-simulated per figure.
 //!
 //! This engine fixes both: a [`CompileCache`] keyed by (workload, model,
-//! machine) hands out `Arc<Module>`s compiled exactly once, a baseline
+//! machine) hands out `Arc<Module>`s compiled exactly once — from a front
+//! half computed once per workload and a formed half computed once per
+//! (workload, model), so each key runs only the scheduler — a baseline
 //! memo simulates each workload's denominator once, and a
 //! `std::thread::scope` work queue spreads the remaining cells over
 //! `threads` workers. Results are bit-identical to the serial
@@ -62,7 +64,7 @@
 
 use crate::experiments::{BenchResult, Experiment};
 use crate::journal::{fnv64, model_slug, JournalEntry, RecordOutcome};
-use crate::pipeline::{Degradation, FrontOutput, Model, Pipeline, PipelineError};
+use crate::pipeline::{Degradation, Formed, FrontOutput, Model, Pipeline, PipelineError};
 use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
 use hyperpred_emu::DecodedModule;
@@ -98,7 +100,8 @@ pub struct EngineStats {
     /// Compilations served from the cache instead of rerun.
     pub compile_hits: u64,
     /// Compilations actually performed (exactly once per distinct
-    /// (workload, model, machine) triple).
+    /// (workload, model, machine) triple); each runs only the scheduler
+    /// on a memoized formed half.
     pub compile_misses: u64,
     /// Baseline (1-issue superblock, perfect memory) simulations run —
     /// one per workload, however many figures share them.
@@ -110,9 +113,15 @@ pub struct EngineStats {
     /// Model-independent front halves (frontend through the profiling
     /// run) actually computed — once per workload.
     pub front_computes: u64,
-    /// Compiles that reused a memoized front half instead of re-lowering
-    /// and re-profiling the workload.
+    /// Compiles (compile-cache misses) that found the front half
+    /// memoized instead of re-lowering and re-profiling the workload.
     pub front_reuses: u64,
+    /// Formed halves (region formation through post-optimization)
+    /// actually computed — once per distinct (workload, model).
+    pub form_computes: u64,
+    /// Compiles that reused a memoized formed half and only scheduled it
+    /// for their machine.
+    pub form_reuses: u64,
     /// Cells whose stats were copied back from the run journal instead of
     /// re-run.
     pub journal_hits: u64,
@@ -138,7 +147,8 @@ impl EngineStats {
         let mut s = format!(
             "engine: {} cells in {:.2?} on {} thread(s) ({:.2?} of cell work; {:.1}x packing)\n\
              compile cache: {} misses, {} hits; baseline memo: {} simulated, {} reused\n\
-             profile memo: {} front halves computed, {} reused\n\
+             profile memo: {} front halves computed, {} reused; \
+             form memo: {} formed, {} reused\n\
              serial loop would run {} cells; the engine ran {}",
             self.cells.len(),
             self.wall,
@@ -151,6 +161,8 @@ impl EngineStats {
             self.baseline_reuses,
             self.front_computes,
             self.front_reuses,
+            self.form_computes,
+            self.form_reuses,
             self.serial_equivalent_cells(),
             self.baseline_sims + self.model_sims,
         );
@@ -757,12 +769,8 @@ struct CompileKey {
     branches: u32,
 }
 
-/// One shared once-per-key slot; `Err` marks a memoized failed compile.
-type CompileSlot = Arc<OnceLock<Result<CompiledUnit, StageFailure>>>;
-
-/// One shared per-workload slot for the model-independent front half
-/// (frontend → pre-formation optimization → profiling run).
-type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, StageFailure>>>;
+/// Shared once-per-key slots; an `Err` value marks a memoized failure.
+type Slots<K, T> = Mutex<HashMap<K, Arc<OnceLock<Result<T, StageFailure>>>>>;
 
 /// Each distinct (workload, model, machine) module is compiled — and
 /// decoded — exactly once; concurrent requesters block on the same
@@ -770,18 +778,67 @@ type FrontSlot = Arc<OnceLock<Result<Arc<FrontOutput>, StageFailure>>>;
 /// panicking — compile is memoized as failed, so dependent cells skip it
 /// instead of re-running (or re-panicking) it.
 ///
-/// Compiles are additionally split at the [`Pipeline::front`] /
-/// [`Pipeline::finish`] seam: the front half (including the profiling
-/// emulation run, the most expensive pass for emulation-heavy workloads)
-/// depends only on the workload, so it runs once per workload and every
-/// (model, machine) compile shares it.
+/// Compiles are additionally split in three, each half memoized with the
+/// same discipline:
+///
+/// * the [`Pipeline::front`] half (including the profiling emulation run,
+///   the most expensive pass for emulation-heavy workloads) depends only
+///   on the workload, so it runs once per workload;
+/// * the [`Pipeline::form`] half (formation, promotion, conversion,
+///   post-optimization) depends only on the workload and the model, so it
+///   runs once per (workload, model);
+/// * each (workload, model, machine) key then clones its formed module
+///   and runs only [`Pipeline::schedule`].
+///
+/// Across the four figures that is 3 forms and 10 schedules per workload
+/// instead of 10 full back halves.
 struct CompileCache {
-    slots: Mutex<HashMap<CompileKey, CompileSlot>>,
-    fronts: Mutex<HashMap<usize, FrontSlot>>,
+    /// Scheduled (and decoded) modules, per (workload, model, machine).
+    slots: Slots<CompileKey, CompiledUnit>,
+    /// Front halves (frontend → pre-formation optimization → profiling
+    /// run), per workload.
+    fronts: Slots<usize, Arc<FrontOutput>>,
+    /// Formed halves (region formation → post-optimization), per
+    /// (workload, model).
+    forms: Slots<(usize, Model), Arc<Formed>>,
     hits: AtomicU64,
     misses: AtomicU64,
     front_computes: AtomicU64,
     front_reuses: AtomicU64,
+    form_computes: AtomicU64,
+    form_reuses: AtomicU64,
+}
+
+/// The value memoized under `key`: `init` runs into the key's shared
+/// slot unless another requester already did, and `computes` or
+/// `reuses` counts which of the two happened.
+fn memoized<K: Eq + std::hash::Hash, T: Clone>(
+    slots: &Slots<K, T>,
+    key: K,
+    computes: &AtomicU64,
+    reuses: &AtomicU64,
+    init: impl FnOnce() -> Result<T, StageFailure>,
+) -> Result<T, StageFailure> {
+    let slot = Arc::clone(lock_tolerant(slots).entry(key).or_default());
+    let mut fresh = false;
+    let value = slot.get_or_init(|| {
+        fresh = true;
+        init()
+    });
+    if fresh { computes } else { reuses }.fetch_add(1, Ordering::Relaxed);
+    value.clone()
+}
+
+/// Removes `key`'s slot if it holds a memoized failure.
+fn forget_if_failed<K: Eq + std::hash::Hash, T>(slots: &Slots<K, T>, key: &K) {
+    let mut slots = lock_tolerant(slots);
+    if slots
+        .get(key)
+        .and_then(|s| s.get())
+        .is_some_and(Result::is_err)
+    {
+        slots.remove(key);
+    }
 }
 
 impl CompileCache {
@@ -789,10 +846,13 @@ impl CompileCache {
         CompileCache {
             slots: Mutex::new(HashMap::new()),
             fronts: Mutex::new(HashMap::new()),
+            forms: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             front_computes: AtomicU64::new(0),
             front_reuses: AtomicU64::new(0),
+            form_computes: AtomicU64::new(0),
+            form_reuses: AtomicU64::new(0),
         }
     }
 
@@ -803,21 +863,30 @@ impl CompileCache {
         w: &Workload,
         pipe: &Pipeline,
     ) -> Result<Arc<FrontOutput>, StageFailure> {
-        let slot = {
-            let mut fronts = lock_tolerant(&self.fronts);
-            Arc::clone(fronts.entry(workload).or_default())
-        };
-        let mut fresh = false;
-        let front = slot.get_or_init(|| {
-            fresh = true;
-            phase(FailureStage::Compile, || pipe.front(&w.source, &w.args)).map(Arc::new)
-        });
-        if fresh {
-            self.front_computes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.front_reuses.fetch_add(1, Ordering::Relaxed);
-        }
-        front.clone()
+        memoized(
+            &self.fronts,
+            workload,
+            &self.front_computes,
+            &self.front_reuses,
+            || phase(FailureStage::Compile, || pipe.front(&w.source, &w.args)).map(Arc::new),
+        )
+    }
+
+    /// The formed half for `key`'s (workload, model), computed once per
+    /// pair from the workload's front half.
+    fn get_or_form(
+        &self,
+        key: CompileKey,
+        front: &FrontOutput,
+        pipe: &Pipeline,
+    ) -> Result<Arc<Formed>, StageFailure> {
+        memoized(
+            &self.forms,
+            (key.workload, key.model),
+            &self.form_computes,
+            &self.form_reuses,
+            || phase(FailureStage::Compile, || pipe.form(front, key.model)).map(Arc::new),
+        )
     }
 
     fn get_or_compile(
@@ -826,58 +895,35 @@ impl CompileCache {
         w: &Workload,
         pipe: &Pipeline,
     ) -> Result<CompiledUnit, StageFailure> {
-        let cell = {
-            let mut slots = lock_tolerant(&self.slots);
-            Arc::clone(slots.entry(key).or_default())
-        };
-        let mut fresh = false;
-        let unit = cell.get_or_init(|| {
-            fresh = true;
-            // The shared front half: once per workload, then each
-            // (model, machine) runs only formation → scheduling. A failed
-            // front (frontend error, profiling fault, injected panic) is
-            // memoized once and replayed to every dependent key.
+        memoized(&self.slots, key, &self.misses, &self.hits, || {
+            // The shared halves: the front once per workload, the formed
+            // module once per (workload, model); each key runs only the
+            // scheduler. A failed half (frontend error, profiling fault,
+            // checkpoint failure, injected panic) is memoized once and
+            // replayed to every dependent key.
             let front = self.get_or_front(key.workload, w, pipe)?;
+            let formed = self.get_or_form(key, &front, pipe)?;
             // Panics inside the pipeline are contained *here* so the slot
             // is still initialized (as failed) for everyone waiting on it.
             let machine = MachineConfig::new(key.issue, key.branches);
             let module = phase(FailureStage::Compile, || {
-                pipe.finish(&front, key.model, &machine)
+                pipe.schedule(Formed::clone(&formed), &machine)
             })?;
             let module = Arc::new(module);
             let decoded = Some(Arc::new(DecodedModule::decode(&module)));
             Ok(CompiledUnit { module, decoded })
-        });
-        if fresh {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        unit.clone()
+        })
     }
 
-    /// Drops memoized *failures* for `key` (and its workload's front half)
-    /// so a retry actually recompiles instead of replaying the memo.
-    /// Successful slots are kept: concurrent holders of the old `Arc`s
-    /// stay valid, and nothing succeeded that a retry should redo.
+    /// Drops memoized *failures* for `key`, its (workload, model) formed
+    /// half and its workload's front half, so a retry actually recompiles
+    /// instead of replaying the memo. Successful slots are kept:
+    /// concurrent holders of the old `Arc`s stay valid, and nothing
+    /// succeeded that a retry should redo.
     fn forget_failed(&self, key: CompileKey) {
-        let mut slots = lock_tolerant(&self.slots);
-        if slots
-            .get(&key)
-            .and_then(|s| s.get())
-            .is_some_and(Result::is_err)
-        {
-            slots.remove(&key);
-        }
-        drop(slots);
-        let mut fronts = lock_tolerant(&self.fronts);
-        if fronts
-            .get(&key.workload)
-            .and_then(|s| s.get())
-            .is_some_and(Result::is_err)
-        {
-            fronts.remove(&key.workload);
-        }
+        forget_if_failed(&self.slots, &key);
+        forget_if_failed(&self.forms, &(key.workload, key.model));
+        forget_if_failed(&self.fronts, &key.workload);
     }
 
     /// The successfully compiled module for `key`, if the cache holds one.
@@ -1379,6 +1425,8 @@ pub fn run_matrix_configured(
         model_sims,
         front_computes: cache.front_computes.load(Ordering::Relaxed),
         front_reuses: cache.front_reuses.load(Ordering::Relaxed),
+        form_computes: cache.form_computes.load(Ordering::Relaxed),
+        form_reuses: cache.form_reuses.load(Ordering::Relaxed),
         journal_hits: journal_hits.load(Ordering::Relaxed),
         journal_appends: journal_appends.load(Ordering::Relaxed),
         retries: retries.load(Ordering::Relaxed),
@@ -1692,6 +1740,48 @@ mod tests {
         assert!(
             run.stats.cells.len() <= 2,
             "no cell past the limit may have run"
+        );
+    }
+
+    /// A retry must recompile a failed form, not replay its memo; a
+    /// successful form survives the same retry.
+    #[test]
+    fn forget_failed_drops_only_failed_form_slots() {
+        let pipe = Pipeline::default();
+        let front = pipe
+            .front("int main() { return 3; }", &[])
+            .expect("front half");
+        let formed = Arc::new(pipe.form(&front, Model::Superblock).expect("formed half"));
+        let cache = CompileCache::new();
+        let key = |model| CompileKey {
+            workload: 0,
+            model,
+            issue: 8,
+            branches: 1,
+        };
+        let failed = StageFailure {
+            stage: FailureStage::Compile,
+            payload: FailurePayload::Panic("transient".to_string()),
+        };
+        for (model, memo) in [
+            (Model::Superblock, Ok(formed)),
+            (Model::FullPred, Err(failed)),
+        ] {
+            lock_tolerant(&cache.forms).insert((0, model), Arc::new(OnceLock::from(memo)));
+        }
+        cache.forget_failed(key(Model::FullPred));
+        cache.forget_failed(key(Model::Superblock));
+        let forms = lock_tolerant(&cache.forms);
+        assert!(
+            !forms.contains_key(&(0, Model::FullPred)),
+            "failed form forgotten"
+        );
+        assert!(
+            forms
+                .get(&(0, Model::Superblock))
+                .and_then(|s| s.get())
+                .is_some_and(Result::is_ok),
+            "successful form kept"
         );
     }
 

@@ -182,7 +182,7 @@ pub enum PipelineError {
     /// A transformation refused to proceed because it would exceed a
     /// configured growth budget (see [`UnrollConfig::max_growth_insts`]
     /// and friends). Pathological inputs degrade to this typed error —
-    /// never a hang or OOM — and the [`Pipeline::finish_degraded`] ladder
+    /// never a hang or OOM — and the [`Pipeline::form_degraded`] ladder
     /// can retry with the offending pass disabled.
     Budget {
         /// The pass whose budget tripped.
@@ -504,15 +504,40 @@ fn sabotage_module(module: &mut Module) {
 /// Everything up to region formation depends only on the source and the
 /// training arguments, so this output is byte-identical across all
 /// (model, machine) combinations of one workload. Drivers that compile a
-/// workload many times — the matrix engine compiles each one up to ten
-/// times across the figures — compute this once with [`Pipeline::front`]
-/// and fan it out through [`Pipeline::finish`].
+/// workload many times — the matrix engine schedules each one for up to
+/// ten (model, machine) keys across the figures — compute this once with
+/// [`Pipeline::front`] and fan it out through [`Pipeline::form`] (once per
+/// model) and [`Pipeline::schedule`] (once per machine).
 #[derive(Debug, Clone)]
 pub struct FrontOutput {
     /// The optimized pre-formation module (unpredicated, basic blocks).
     pub module: Module,
     /// The training-run profile that drives region formation.
     pub profile: Profiler,
+}
+
+/// A module formed for one model: the machine-independent second half of
+/// a compile, from region formation through post-optimization.
+///
+/// In the paper the machine changes only the final list scheduling, so a
+/// driver that simulates one model on several machines forms it once with
+/// [`Pipeline::form`] and hands a clone to [`Pipeline::schedule`] per
+/// machine. Besides the module, a `Formed` carries the checkpoint state
+/// the [`Stage::Schedule`] checkpoint needs: the model's conformance
+/// class and the speculation snapshot of the last checkpoint, which the
+/// differential speculation check compares the scheduled module against.
+/// The fields are private so the snapshot always describes the module.
+#[derive(Debug, Clone)]
+pub struct Formed {
+    /// The formed, converted and post-optimized module (unscheduled).
+    module: Module,
+    /// The model it was formed for.
+    model: Model,
+    /// True once `to_partial_module` has run (cmov model).
+    converted: bool,
+    /// The last checkpoint's speculation snapshot (`None` with checks
+    /// off).
+    spec: Option<Snapshot>,
 }
 
 impl Pipeline {
@@ -587,9 +612,9 @@ impl Pipeline {
     }
 
     /// Runs the model- and machine-specific pipeline half on a
-    /// [`FrontOutput`]: region formation, model conversion, post
-    /// optimization, and scheduling. `front` is not consumed — the same
-    /// front half fans out to every (model, machine) combination.
+    /// [`FrontOutput`]: [`Pipeline::form`] then [`Pipeline::schedule`].
+    /// `front` is not consumed — the same front half fans out to every
+    /// (model, machine) combination.
     ///
     /// # Errors
     /// Fails if a semantic checkpoint rejects a pass's output.
@@ -599,6 +624,19 @@ impl Pipeline {
         model: Model,
         machine: &MachineConfig,
     ) -> Result<Module, PipelineError> {
+        self.schedule(self.form(front, model)?, machine)
+    }
+
+    /// Runs the model-specific, machine-independent pipeline half on a
+    /// [`FrontOutput`]: region formation, promotion, model conversion and
+    /// post optimization, with every checkpoint up to
+    /// [`Stage::OptPost`]. Nothing here reads the machine, so one
+    /// [`Formed`] serves every machine [`Pipeline::schedule`] targets.
+    ///
+    /// # Errors
+    /// Fails if a semantic checkpoint rejects a pass's output, or with
+    /// [`PipelineError::Budget`] if a growth budget trips.
+    pub fn form(&self, front: &FrontOutput, model: Model) -> Result<Formed, PipelineError> {
         let mut module = front.module.clone();
         let prof = &front.profile;
         let mut ck = Checkpointer::new(self, model);
@@ -665,6 +703,39 @@ impl Pipeline {
             hyperpred_opt::optimize_module(&mut module);
             ck.check(&mut module, Stage::OptPost)?;
         }
+        Ok(Formed {
+            module,
+            model,
+            converted: ck.converted,
+            spec: ck.spec,
+        })
+    }
+
+    /// Runs the machine-specific pipeline half on a [`Formed`] module:
+    /// list scheduling for `machine` and the [`Stage::Schedule`]
+    /// checkpoint, whose speculation check compares against the snapshot
+    /// the formed module carries. Clone the [`Formed`] to schedule it for
+    /// more than one machine.
+    ///
+    /// # Errors
+    /// Fails if scheduling fails or the [`Stage::Schedule`] checkpoint
+    /// rejects its output; never with [`PipelineError::Budget`].
+    pub fn schedule(
+        &self,
+        formed: Formed,
+        machine: &MachineConfig,
+    ) -> Result<Module, PipelineError> {
+        let Formed {
+            mut module,
+            model,
+            converted,
+            spec,
+        } = formed;
+        let mut ck = Checkpointer {
+            converted,
+            spec,
+            ..Checkpointer::new(self, model)
+        };
         schedule_module(&mut module, machine)?;
         ck.check(&mut module, Stage::Schedule)?;
         if self.fault_injection
@@ -685,7 +756,23 @@ impl Pipeline {
         Ok(module)
     }
 
-    /// Like [`Pipeline::finish`], but with a *degradation ladder*: when a
+    /// Like [`Pipeline::finish`], but with the [`Pipeline::form_degraded`]
+    /// ladder applied to the formation half; scheduling never trips a
+    /// budget.
+    ///
+    /// # Errors
+    /// Same as [`Pipeline::form_degraded`], or a scheduling failure.
+    pub fn finish_degraded(
+        &self,
+        front: &FrontOutput,
+        model: Model,
+        machine: &MachineConfig,
+    ) -> Result<(Module, Degradation), PipelineError> {
+        let (formed, degradation) = self.form_degraded(front, model)?;
+        Ok((self.schedule(formed, machine)?, degradation))
+    }
+
+    /// Like [`Pipeline::form`], but with a *degradation ladder*: when a
     /// pass trips its growth budget ([`PipelineError::Budget`]), the
     /// compile retries with that transformation disabled instead of
     /// failing the cell outright. Fallback order mirrors optimization
@@ -698,19 +785,18 @@ impl Pipeline {
     /// already disabled is returned as the permanent failure.
     ///
     /// # Errors
-    /// Same as [`Pipeline::finish`] for non-budget failures, or the final
+    /// Same as [`Pipeline::form`] for non-budget failures, or the final
     /// [`PipelineError::Budget`] if the ladder is exhausted.
-    pub fn finish_degraded(
+    pub fn form_degraded(
         &self,
         front: &FrontOutput,
         model: Model,
-        machine: &MachineConfig,
-    ) -> Result<(Module, Degradation), PipelineError> {
+    ) -> Result<(Formed, Degradation), PipelineError> {
         let mut pipe = *self;
         let mut disabled: Vec<Stage> = Vec::new();
         loop {
-            match pipe.finish(front, model, machine) {
-                Ok(module) => return Ok((module, Degradation { disabled })),
+            match pipe.form(front, model) {
+                Ok(formed) => return Ok((formed, Degradation { disabled })),
                 Err(PipelineError::Budget {
                     pass,
                     metric,
@@ -722,7 +808,7 @@ impl Pipeline {
                         Stage::Promote => pipe.promote = false,
                         Stage::IfConvert => {
                             // Rejecting every candidate region disables
-                            // formation; the finish path then applies its
+                            // formation; the form path then applies its
                             // usual superblock fallback to the whole
                             // function.
                             pipe.hyperblock.max_blocks = 0;

@@ -4,10 +4,13 @@
 //! `hyperpredc soak` drives the seeded MiniC generator
 //! ([`hyperpred_workloads::gen`]) through the full pipeline: every
 //! generated program is compiled under all three execution models at
-//! several machine widths (with the [`Pipeline::finish_degraded`]
+//! several machine widths, emulated, and simulated, and a battery of
+//! end-to-end oracles is enforced per configuration. Each model is
+//! formed once per program (with the [`Pipeline::form_degraded`]
 //! degradation ladder, so budget-tripping pathological inputs fall back
-//! instead of failing), emulated, and simulated, and a battery of
-//! end-to-end oracles is enforced per configuration:
+//! instead of failing) and scheduled per width, so a program with the
+//! default three widths costs 3 forms and 9 schedules, not 9 full back
+//! halves. The oracles are:
 //!
 //! * **Differential emulation** — the pre-decoded emulator and the
 //!   struct-walking [`ReferenceEmulator`] must produce bit-identical
@@ -22,7 +25,9 @@
 //!   loads, stores), return the emulator's result, respect the issue
 //!   width's cycle floor, and keep misses bounded by references.
 //! * **Lint checkpoints** — soak always compiles with the per-pass
-//!   semantic checkers on, so every intermediate module is verified.
+//!   semantic checkers on, so every intermediate module is verified:
+//!   each formed module once, and each scheduled module against its
+//!   formed module's speculation snapshot.
 //!
 //! Failures are contained per program (panics included, via the matrix
 //! engine's capture hook), normalized to a signature, and emitted as
@@ -36,7 +41,7 @@
 
 use crate::journal::{fnv64, JournalEntry};
 use crate::matrix::{catch_cell, stage_of, FailurePayload, FailureStage};
-use crate::pipeline::{FrontOutput, Model, Pipeline, PipelineError, Stage};
+use crate::pipeline::{Formed, FrontOutput, Model, Pipeline, PipelineError, Stage};
 use crate::predoracle::{PredClaims, PredOracleSink};
 use crate::store::Store;
 use crate::triage::{self, ReproCell, TriageConfig};
@@ -48,7 +53,7 @@ use hyperpred_lang::lower::entry_args;
 use hyperpred_sched::MachineConfig;
 use hyperpred_sim::{simulate, CacheConfig, MemoryModel, SimConfig, SimStats};
 use hyperpred_workloads::gen::{generate, GenProgram, Profile};
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::io;
 use std::path::PathBuf;
 
@@ -247,14 +252,49 @@ fn oracle(workload: &str, model: Model, check: &'static str, detail: String) -> 
     }
 }
 
-/// Compiles (with the degradation ladder), runs the decoded and reference
-/// emulators differentially, simulates, and checks every single-config
-/// oracle. Returns the stats, the architectural observations (for the
-/// caller's cross-model comparison), and whether the ladder degraded.
+/// One program's formed modules: each model is formed at most once (down
+/// the degradation ladder), on first use, and scheduled per machine.
+struct Forms<'a> {
+    pipe: &'a Pipeline,
+    front: &'a FrontOutput,
+    /// Per [`Model::index`]: the formed module and whether the ladder
+    /// degraded it.
+    formed: [Option<(Formed, bool)>; 3],
+}
+
+impl<'a> Forms<'a> {
+    fn new(pipe: &'a Pipeline, front: &'a FrontOutput) -> Forms<'a> {
+        Forms {
+            pipe,
+            front,
+            formed: [None, None, None],
+        }
+    }
+
+    /// `model` scheduled for `machine`, and whether its form degraded.
+    fn compile(
+        &mut self,
+        model: Model,
+        machine: &MachineConfig,
+    ) -> Result<(Module, bool), PipelineError> {
+        let slot = &mut self.formed[model.index()];
+        if slot.is_none() {
+            let (formed, deg) = self.pipe.form_degraded(self.front, model)?;
+            *slot = Some((formed, deg.is_degraded()));
+        }
+        let (formed, degraded) = slot.as_ref().expect("formed above");
+        Ok((self.pipe.schedule(formed.clone(), machine)?, *degraded))
+    }
+}
+
+/// Compiles (from the program's memoized forms), runs the decoded and
+/// reference emulators differentially, simulates, and checks every
+/// single-config oracle. Returns the stats, the architectural
+/// observations (for the caller's cross-model comparison), and whether
+/// the ladder degraded.
 #[allow(clippy::too_many_arguments)]
 fn run_config(
-    pipe: &Pipeline,
-    front: &FrontOutput,
+    forms: &mut Forms<'_>,
     model: Model,
     machine: &MachineConfig,
     workload: &str,
@@ -266,7 +306,11 @@ fn run_config(
     // Drop any previous configuration's module first: if this compile
     // fails, triage must not dump a stale module as if it were this one.
     *module_slot.borrow_mut() = None;
-    let (module, deg) = pipe.finish_degraded(front, model, machine)?;
+    let (module, degraded) = forms.compile(model, machine)?;
+    // Keep the module for triage *before* any oracle can fail; the
+    // battery borrows it back from the slot.
+    *module_slot.borrow_mut() = Some(module);
+    let module = Ref::map(module_slot.borrow(), |m| m.as_ref().expect("just stored"));
     let eargs = entry_args(args);
 
     // Differential emulation: decoded vs reference, full event stream.
@@ -287,8 +331,6 @@ fn run_config(
         &eargs,
         &mut Tee::new(&mut reference_sink, &mut pred_sink),
     );
-    // Keep the module for triage *before* any oracle can fail.
-    *module_slot.borrow_mut() = Some(module.clone());
     if let Some(v) = pred_sink.violation.take() {
         return Err(oracle(workload, model, "pred-relations", v));
     }
@@ -393,7 +435,7 @@ fn run_config(
             ret: out.ret,
             stores: decoded_sink.stores,
         },
-        deg.is_degraded(),
+        degraded,
     ))
 }
 
@@ -486,11 +528,11 @@ fn run_program(
     let pipe = pipe_for(cfg.sabotage, cfg.fuel);
     *current.borrow_mut() = (None, 1, 1);
     let front = pipe.front(&prog.source, &prog.args)?;
+    let mut forms = Forms::new(&pipe, &front);
 
     *current.borrow_mut() = (Some(Model::Superblock), 1, 1);
     let (base_stats, base_obs, base_deg) = run_config(
-        &pipe,
-        &front,
+        &mut forms,
         Model::Superblock,
         &baseline_machine(),
         &prog.name,
@@ -513,8 +555,7 @@ fn run_program(
             }
             *current.borrow_mut() = (Some(model), issue, branches);
             let (stats, obs, deg) = run_config(
-                &pipe,
-                &front,
+                &mut forms,
                 model,
                 &machine,
                 &prog.name,
@@ -651,9 +692,9 @@ pub(crate) fn replay_cell(cell: &ReproCell, source: &str) -> Option<String> {
     let caught = catch_cell(|| -> Result<(), PipelineError> {
         let pipe = pipe_for(cell.sabotage, fuel);
         let front = pipe.front(source, &cell.args)?;
+        let mut forms = Forms::new(&pipe, &front);
         let (_, base_obs, _) = run_config(
-            &pipe,
-            &front,
+            &mut forms,
             Model::Superblock,
             &baseline_machine(),
             &cell.workload,
@@ -666,8 +707,7 @@ pub(crate) fn replay_cell(cell: &ReproCell, source: &str) -> Option<String> {
             if !(model == Model::Superblock && cell.issue <= 1 && cell.branches <= 1) {
                 let machine = MachineConfig::new(cell.issue.max(1), cell.branches.max(1));
                 let (_, obs, _) = run_config(
-                    &pipe,
-                    &front,
+                    &mut forms,
                     model,
                     &machine,
                     &cell.workload,

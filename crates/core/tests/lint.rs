@@ -136,6 +136,51 @@ fn sabotaged_relations_graph_is_caught_and_blamed() {
     assert!(msg.contains("after pass `relations`"), "{msg}");
 }
 
+/// A corruption injected after scheduling is caught by the `schedule`
+/// checkpoint with checks on — for a one-shot compile, and for every
+/// machine a single formed module is scheduled for (the schedule
+/// checkpoint runs per scheduled module, not once per form).
+#[test]
+fn sabotaged_schedule_is_blamed_by_name() {
+    let pipe = Pipeline {
+        sabotage: Some(Stage::Schedule),
+        ..checked_pipeline()
+    };
+    let w = &all(Scale::Test)[0];
+    let blamed = |err: PipelineError| {
+        let PipelineError::Lint(ref lint) = err else {
+            panic!("expected a lint error, got {err}");
+        };
+        assert_eq!(lint.pass, Stage::Schedule);
+        assert!(
+            lint.violations
+                .iter()
+                .any(|v| v.kind == CheckKind::UseBeforeDef),
+            "never-defined guard should read as use-before-def: {:?}",
+            lint.violations
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("after pass `schedule`"), "{msg}");
+    };
+    blamed(
+        pipe.compile(
+            &w.source,
+            &w.args,
+            Model::FullPred,
+            &MachineConfig::new(8, 1),
+        )
+        .expect_err("sabotaged compile must fail"),
+    );
+    let front = pipe.front(&w.source, &w.args).expect("front half");
+    let formed = pipe.form(&front, Model::FullPred).expect("formed half");
+    for machine in [MachineConfig::new(1, 1), MachineConfig::new(8, 2)] {
+        blamed(
+            pipe.schedule(formed.clone(), &machine)
+                .expect_err("sabotaged schedule must fail"),
+        );
+    }
+}
+
 /// With checks off, sabotage corrupts silently — proving the checkpoints
 /// (not some other mechanism) are what catches it. The guard is read in
 /// the emulator as predicate 0 of an all-false file, which nullifies the

@@ -11,6 +11,7 @@ use hyperpred::{
     run_matrix_configured, run_request, run_workload, BenchResult, CellRequest, Experiment,
     MatrixConfig, Model, Pipeline, RequestConfig,
 };
+use hyperpred_sched::MachineConfig;
 use hyperpred_workloads::{all, by_name, Scale, Workload};
 
 /// A machine-sharing pair: Figures 8 and 11 both schedule for 8-issue,
@@ -219,6 +220,10 @@ fn caches_deduplicate_compiles_and_baselines() {
     // Distinct compiles per workload: baseline + fig8's three models
     // (fig11 fully reuses fig8's modules).
     assert_eq!(out.stats.compile_misses, 4 * w);
+    // Those four compiles form three modules: the 1-issue baseline and
+    // the 8-issue superblock cell schedule one formed superblock module.
+    assert_eq!(out.stats.form_computes, 3 * w);
+    assert_eq!(out.stats.form_reuses, w);
     // The denominator is simulated once per workload, not once per figure.
     assert_eq!(out.stats.baseline_sims, w);
     assert_eq!(out.stats.baseline_reuses, (exps.len() as u64 - 1) * w);
@@ -268,4 +273,101 @@ fn requests_match_matrix_cells() {
             assert_eq!(stats, r.models[i], "{} / {model}: request differs", w.name);
         }
     }
+}
+
+/// The formed half is machine-independent: one `Formed` per (workload,
+/// model), scheduled for four machines in turn, is Debug-equal to an
+/// independent `Pipeline::compile` for each machine — with the
+/// checkpoints on and off. The checkpoints only read the module, so one
+/// unchecked reference compile per key serves both modes (and the
+/// checked run must still pass every checkpoint, the `schedule` one
+/// against the snapshot the `Formed` carries). Two workers split the
+/// workloads; li and qsort dominate the debug-build cost.
+#[test]
+fn one_form_schedules_like_independent_compiles() {
+    let machines = [(1, 1), (4, 1), (8, 1), (8, 2)].map(|(i, b)| MachineConfig::new(i, b));
+    let wls = all(Scale::Test);
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let check = || loop {
+        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let Some(w) = wls.get(i) else { return };
+        let unchecked = Pipeline {
+            checks: false,
+            ..Pipeline::default()
+        };
+        let reference: Vec<Vec<String>> = Model::ALL
+            .iter()
+            .map(|&model| {
+                machines
+                    .iter()
+                    .map(|machine| {
+                        let m = unchecked
+                            .compile(&w.source, &w.args, model, machine)
+                            .expect("compile");
+                        format!("{m:?}")
+                    })
+                    .collect()
+            })
+            .collect();
+        for checks in [true, false] {
+            let pipe = Pipeline {
+                checks,
+                ..Pipeline::default()
+            };
+            let front = pipe.front(&w.source, &w.args).expect("front half");
+            for (model, want) in Model::ALL.into_iter().zip(&reference) {
+                let formed = pipe.form(&front, model).expect("formed half");
+                for (machine, want) in machines.iter().zip(want) {
+                    let got = pipe.schedule(formed.clone(), machine).expect("schedule");
+                    assert!(
+                        format!("{got:?}") == *want,
+                        "{} / {model} / {}x{} (checks {checks}): reused form differs",
+                        w.name,
+                        machine.issue_width,
+                        machine.branches_per_cycle
+                    );
+                }
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        let workers = [s.spawn(check), s.spawn(check)];
+        for worker in workers {
+            worker.join().expect("worker");
+        }
+    });
+}
+
+/// On a compile that trips its budgets, the degradation ladder lives in
+/// the formed half: `finish_degraded` equals `form_degraded` followed by
+/// `schedule`, degradation record included.
+#[test]
+fn degraded_finish_is_degraded_form_then_schedule() {
+    let mut pipe = Pipeline {
+        promote_rounds: 0,
+        ..Pipeline::default()
+    };
+    pipe.unroll.factor = 8;
+    pipe.unroll.max_growth_insts = 4;
+    let machine = MachineConfig::new(8, 2);
+    let mut degraded = 0;
+    for name in ["wc", "ear"] {
+        let w = by_name(name, Scale::Test).expect("workload");
+        let front = pipe.front(&w.source, &w.args).expect("front half");
+        for model in Model::ALL {
+            let (finished, finish_deg) = pipe
+                .finish_degraded(&front, model, &machine)
+                .expect("ladder finishes");
+            let (formed, form_deg) = pipe.form_degraded(&front, model).expect("ladder forms");
+            let scheduled = pipe.schedule(formed, &machine).expect("schedule");
+            assert_eq!(finish_deg, form_deg, "{name} / {model}");
+            assert_eq!(
+                format!("{finished:?}"),
+                format!("{scheduled:?}"),
+                "{name} / {model}"
+            );
+            degraded += usize::from(form_deg.is_degraded());
+        }
+    }
+    assert!(degraded >= 5, "the budgets must trip: {degraded} degraded");
 }

@@ -130,6 +130,51 @@ fn sabotaged_soak_emits_a_reproducible_minimized_bundle() {
     );
 }
 
+/// Soak forms each model once and schedules it per width, so the
+/// `schedule` checkpoint must still fire on the scheduled module: the
+/// very first configuration (the 1-issue superblock baseline) fails,
+/// blamed on `schedule`, and its bundle replays.
+#[test]
+fn sabotaged_schedule_fails_at_the_baseline_and_replays() {
+    let dir = tmpdir("soak-sabotage-schedule");
+    let mut cfg = SoakConfig::new(3, 1);
+    cfg.sabotage = Some(Stage::Schedule);
+    cfg.widths = vec![(4, 1)];
+    cfg.triage = Some(TriageConfig::new(dir.join("triage")));
+
+    let report = run_soak(&cfg).expect("soak runs");
+    assert_eq!(report.failures.len(), 1, "sabotage must fail the program");
+    assert_eq!(report.failures[0].signature, "lint: after pass `schedule`");
+    let bundle_dir = report.failures[0]
+        .bundle
+        .clone()
+        .expect("a bundle was written");
+    let bundle = load_bundle(&bundle_dir).expect("bundle loads");
+    assert_eq!(bundle.cell.sabotage, Some(Stage::Schedule));
+    assert_eq!(
+        (bundle.cell.model, bundle.cell.issue, bundle.cell.branches),
+        (Some(Model::Superblock), 1, 1),
+        "the baseline configuration is the first to schedule"
+    );
+    assert_eq!(
+        triage::replay(&bundle.cell, &bundle.source).as_deref(),
+        Some("lint: after pass `schedule`"),
+        "the bundle must replay its signature"
+    );
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hyperpredc"))
+        .arg("repro")
+        .arg(&bundle_dir)
+        .output()
+        .expect("spawn hyperpredc repro");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "repro of a sabotaged build exits 1\nstdout:\n{}\nstderr:\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
 #[test]
 fn pathological_growth_degrades_typed_never_hangs() {
     // Nasty-profile programs invite deep unrolling and hyperblock tail
